@@ -18,10 +18,10 @@
 //! ([`explore_random`]): no completeness claim, same invariant checks.
 //!
 //! The scenario corpus ([`model_scenarios`]) covers the shipped
-//! collectives, the hierarchy bundle, the transport-level parameter
-//! server, fault-tolerant allreduce (fault-free and one-dead), the
-//! event-driven engine ranks (SASGD and DaSGD's delayed average), and a
-//! Downpour-style pull-retry loop. [`model_self_checks`] runs the
+//! collectives, the hierarchy bundle, the sharded parameter server (one
+//! and two shards), fault-tolerant allreduce (fault-free and one-dead),
+//! the event-driven engine ranks (SASGD and DaSGD's delayed average), and
+//! the PS client's pull-retry ladder. [`model_self_checks`] runs the
 //! implanted bugs — arrival-order reduce, PS lost update, recv cycle —
 //! and proves each is caught by happens-before machinery (with a
 //! replayable witness), not by fingerprint luck.
@@ -33,8 +33,8 @@ use std::time::Duration;
 use sasgd_comm::collectives::{allreduce_ring, allreduce_tree, reduce_tree};
 use sasgd_comm::ft::{ft_allreduce, Membership};
 use sasgd_comm::hierarchy::{hierarchical_allreduce, GroupedComm};
-use sasgd_comm::ps_transport::{serve_shard, PsLayout, PsTransportClient};
-use sasgd_comm::sparse::{sparse_allreduce_tree, SparseVec};
+use sasgd_comm::ps_transport::{serve_shard, PsLayout, PsTransportClient, PullPolicy};
+use sasgd_comm::sparse::{sparse_allreduce_tree_v2, SparseLevelProfile, SparseTreeOpts, SparseVec};
 use sasgd_comm::transport::Transport;
 use sasgd_comm::world::CommError;
 use sasgd_core::algorithms::GammaP;
@@ -51,7 +51,7 @@ use crate::model::{
     run_execution, witness_string, Decision, EnabledChoice, ExecRecord, ModelRankFn,
     ModelTransport, Outcome,
 };
-use crate::schedule::{bad_reduce_arrival_order, order_sensitive_input};
+use crate::schedule::{bad_reduce_arrival_order, order_sensitive_input, tree_reference};
 
 /// A scenario the model checker explores: `p` rank bodies over one
 /// controlled world.
@@ -360,7 +360,7 @@ pub fn explore_exhaustive(sc: &ModelScenario) -> ModelScenarioResult {
 }
 
 /// Deterministic pseudo-random stream (splitmix64) for the bounded
-/// search; local copy so [`crate::schedule`]'s stays private.
+/// search.
 struct SplitMix(u64);
 
 impl SplitMix {
@@ -487,9 +487,9 @@ fn sc_reduce_root1(p: usize) -> ModelScenario {
     )
 }
 
-fn sc_sparse(p: usize) -> ModelScenario {
+fn sc_sparse(p: usize, name: &'static str) -> ModelScenario {
     scenario(
-        "sparse_allreduce_tree",
+        name,
         p,
         Arc::new(|mut t: ModelTransport| {
             let rank = t.rank();
@@ -499,7 +499,13 @@ fn sc_sparse(p: usize) -> ModelScenario {
                 .map(|(j, x)| if (rank + j).is_multiple_of(2) { x } else { 0.0 })
                 .collect();
             let mut sv = SparseVec::from_dense(&dense);
-            wire(sparse_allreduce_tree(&mut t, &mut sv))?;
+            let mut profile = SparseLevelProfile::default();
+            wire(sparse_allreduce_tree_v2(
+                &mut t,
+                &mut sv,
+                SparseTreeOpts::default(),
+                &mut profile,
+            ))?;
             Ok(sv.to_dense())
         }),
         0,
@@ -508,9 +514,9 @@ fn sc_sparse(p: usize) -> ModelScenario {
     )
 }
 
-fn sc_ring(p: usize) -> ModelScenario {
+fn sc_ring(p: usize, name: &'static str) -> ModelScenario {
     scenario(
-        "allreduce_ring",
+        name,
         p,
         Arc::new(|mut t: ModelTransport| {
             let mut v = order_sensitive_input(t.rank(), 4);
@@ -523,9 +529,9 @@ fn sc_ring(p: usize) -> ModelScenario {
     )
 }
 
-fn sc_back_to_back(p: usize) -> ModelScenario {
+fn sc_back_to_back(p: usize, name: &'static str) -> ModelScenario {
     scenario(
-        "back_to_back_allreduce",
+        name,
         p,
         Arc::new(|mut t: ModelTransport| {
             let mut a = order_sensitive_input(t.rank(), 3);
@@ -541,19 +547,21 @@ fn sc_back_to_back(p: usize) -> ModelScenario {
     )
 }
 
-fn sc_hierarchical() -> ModelScenario {
-    // 2 groups × 2 learners over one 4-rank world: the GroupedComm bundle
-    // is assembled from subgroup views (the rank pairs of the three scopes
-    // are disjoint, so their tag spaces cannot collide).
+fn sc_hierarchical(groups: usize, per_group: usize, name: &'static str) -> ModelScenario {
+    // `groups × per_group` learners over one world: the GroupedComm bundle
+    // is assembled from subgroup views (the rank sets of the three scopes
+    // pair up disjointly, so their tag spaces cannot collide).
     scenario(
-        "hierarchical_2x2",
-        4,
-        Arc::new(|t: ModelTransport| {
+        name,
+        groups * per_group,
+        Arc::new(move |t: ModelTransport| {
             let rank = t.rank();
-            let group = rank / 2;
-            let local = t.subgroup(&[group * 2, group * 2 + 1]);
-            let leaders = if rank.is_multiple_of(2) {
-                Some(t.subgroup(&[0, 2]))
+            let group = rank / per_group;
+            let members: Vec<usize> = (group * per_group..(group + 1) * per_group).collect();
+            let local = t.subgroup(&members);
+            let leaders = if rank.is_multiple_of(per_group) {
+                let heads: Vec<usize> = (0..groups).map(|g| g * per_group).collect();
+                Some(t.subgroup(&heads))
             } else {
                 None
             };
@@ -573,46 +581,65 @@ fn sc_hierarchical() -> ModelScenario {
     )
 }
 
-/// 2 learners + 1 shard over a 3-rank world. Learners assert their own
-/// add is visible in their subsequent pull (per-src FIFO + causality);
-/// the shard's final segment is the bitwise-checked result. The wildcard
-/// race check stays off: the shard's arrival-order merge is *by design*
-/// order-insensitive here, and the bitwise check across all
-/// interleavings is the property that verifies it.
-fn sc_ps(snapshot: bool) -> ModelScenario {
+/// 2 learners + `shards` shards over a `2 + shards`-rank world. Learners
+/// assert their own add is visible in their subsequent pull (per-src FIFO
+/// and causality); each shard asserts its final segment is the exact sum of
+/// every add (no lost update) and returns it as the bitwise-checked
+/// result. The wildcard race check stays off: a shard's arrival-order
+/// merge is *by design* order-insensitive here (integer-valued adds), and
+/// the bitwise check across all interleavings is the property that
+/// verifies it.
+///
+/// `rounds[r]` is learner `r`'s add+pull rounds; `0` means a lone add.
+/// Two rounds for learner 0 check pull monotonicity against a *moving*
+/// shard state. With two shards over `dim = 3`, shard 1 owns a
+/// one-element segment — the layout on which a length-guessing shard once
+/// took every add for a pull request.
+fn sc_ps(name: &'static str, shards: usize, rounds: [usize; 2]) -> ModelScenario {
     let layout = PsLayout {
         p: 2,
-        shards: 1,
-        dim: 2,
+        shards,
+        dim: 1 + shards,
+    };
+    let delta = move |rank: usize| -> Vec<f32> {
+        (0..layout.dim)
+            .map(|j| ((rank + 1) * 10usize.pow(j as u32)) as f32)
+            .collect()
     };
     scenario(
-        if snapshot {
-            "ps_snapshot"
-        } else {
-            "ps_transport"
-        },
-        3,
+        name,
+        2 + shards,
         Arc::new(move |t: ModelTransport| {
             let rank = t.rank();
-            if rank == 2 {
+            if rank >= layout.p {
                 let mut t = t;
-                return wire(serve_shard(&mut t, &layout, vec![0.0; 2]));
+                let (lo, hi) = layout.segment(rank - layout.p);
+                let seg =
+                    serve_shard(&mut t, &layout, vec![0.0; hi - lo]).map_err(|e| e.to_string())?;
+                let want: Vec<f32> = (lo..hi)
+                    .map(|j| (0..2).map(|r| rounds[r].max(1) as f32 * delta(r)[j]).sum())
+                    .collect();
+                if seg != want {
+                    return Err(format!(
+                        "lost update: shard holds {seg:?}, adds sum to {want:?}"
+                    ));
+                }
+                return Ok(seg);
             }
-            // Snapshot variant: learner 0 runs a second add+pull round, so
-            // pull monotonicity is checked against a *moving* shard state.
-            // Asymmetric on purpose — both learners at 2 rounds pushes the
-            // interleaving count past the exhaustion budget without adding
-            // coverage (the second learner's rounds are symmetric).
-            let rounds = if snapshot && rank == 0 { 2usize } else { 1 };
-            let delta = vec![(rank + 1) as f32, (10 * (rank + 1)) as f32];
-            let mut client = PsTransportClient::new(t, layout);
-            let mut prev = vec![f32::NEG_INFINITY; 2];
-            for _ in 0..rounds {
-                client.add(&delta).map_err(|e| e.to_string())?;
-                let pulled = client
-                    .pull(Duration::from_millis(50))
-                    .map_err(|e| e.to_string())?;
-                for ((a, d), pv) in pulled.iter().zip(&delta).zip(&prev) {
+            let mine = delta(rank);
+            let mut client = PsTransportClient::new(t, layout).with_pull_policy(PullPolicy {
+                deadline: Duration::from_millis(50),
+                retries: 0,
+                backoff: Duration::ZERO,
+            });
+            if rounds[rank] == 0 {
+                client.add(&mine).map_err(|e| e.to_string())?;
+            }
+            let mut prev = vec![f32::NEG_INFINITY; layout.dim];
+            for _ in 0..rounds[rank] {
+                client.add(&mine).map_err(|e| e.to_string())?;
+                let pulled = client.pull().map_err(|e| e.to_string())?;
+                for ((a, d), pv) in pulled.iter().zip(&mine).zip(&prev) {
                     if a < d {
                         return Err(format!("own add not visible in pull: got {a}, sent {d}"));
                     }
@@ -633,17 +660,30 @@ fn sc_ps(snapshot: bool) -> ModelScenario {
     )
 }
 
-fn sc_ft_fault_free(p: usize) -> ModelScenario {
+/// Fault-free fault-tolerant allreduce: interleaving-invariant *and*
+/// bitwise equal to the plain binomial tree (the FT path reduces in the
+/// identical combine order; the mask prefix and direct result
+/// distribution must not perturb a single bit).
+fn sc_ft_fault_free(p: usize, name: &'static str) -> ModelScenario {
     scenario(
-        "ft_allreduce_fault_free",
+        name,
         p,
-        Arc::new(|mut t: ModelTransport| {
+        Arc::new(move |mut t: ModelTransport| {
             let mut membership = Membership::new(t.size());
             let mut v = order_sensitive_input(t.rank(), 3);
             let out = ft_allreduce(&mut t, &mut membership, &mut v, Duration::from_millis(10))
                 .map_err(|e| e.to_string())?;
             if !out.lost.is_empty() {
                 return Err(format!("unexpected eviction: {:?}", out.lost));
+            }
+            let plain = tree_reference((0..p).map(|r| order_sensitive_input(r, 3)).collect());
+            if v.iter()
+                .zip(&plain)
+                .any(|(a, b)| a.to_bits() != b.to_bits())
+            {
+                return Err(format!(
+                    "ft result {v:?} differs from the plain tree {plain:?}"
+                ));
             }
             v.push(out.epoch as f32);
             Ok(v)
@@ -654,24 +694,28 @@ fn sc_ft_fault_free(p: usize) -> ModelScenario {
     )
 }
 
-fn sc_ft_one_dead(p: usize) -> ModelScenario {
+/// Fault-tolerant allreduce with rank `dead` gone from the start (its
+/// endpoint drop is the hangup the survivors detect). Survivors must
+/// evict exactly that rank and agree bitwise in every interleaving.
+fn sc_ft_one_dead(p: usize, dead: usize, name: &'static str) -> ModelScenario {
+    assert!(
+        dead > 0 && dead < p,
+        "rank 0 coordinates; kill another rank"
+    );
     scenario(
-        "ft_allreduce_one_dead",
+        name,
         p,
         Arc::new(move |mut t: ModelTransport| {
-            if t.rank() == p - 1 {
-                // Dies before contributing: its endpoint drop is the
-                // hangup the survivors detect and evict.
+            if t.rank() == dead {
                 return Ok(vec![]);
             }
             let mut membership = Membership::new(p);
             let mut v = order_sensitive_input(t.rank(), 3);
             let out = ft_allreduce(&mut t, &mut membership, &mut v, Duration::from_millis(10))
                 .map_err(|e| e.to_string())?;
-            if out.lost != vec![p - 1] {
+            if out.lost != vec![dead] {
                 return Err(format!(
-                    "expected to evict rank {}, lost {:?}",
-                    p - 1,
+                    "expected to evict rank {dead}, lost {:?}",
                     out.lost
                 ));
             }
@@ -777,52 +821,36 @@ fn sc_engine_dasgd() -> ModelScenario {
     )
 }
 
-/// Downpour-style pull with retry/backoff: the learner re-requests after
-/// a deadline miss (the model's timeout budget bounds how many misses an
-/// interleaving may inject — mirroring `PS_PULL_RETRIES`); the shard
-/// serves requests until the learner's DONE. Every interleaving must end
-/// with the learner holding the reply.
-fn sc_downpour_retry() -> ModelScenario {
-    const REQ: u64 = 7;
-    const REP: u64 = 8;
-    const DONE: u64 = 9;
+/// The PS client's pull-retry ladder against a real shard loop: the
+/// learner's pull may miss its deadline (the model's timeout budget
+/// bounds how many misses an interleaving may inject — two, the ladder's
+/// worst case under a two-retry policy) and re-requests under a fresh
+/// sequence number; the shard answers every request, stale ones
+/// included, until the learner's done frame. Every interleaving must end
+/// with the learner holding the shard's parameters.
+fn sc_pull_retry() -> ModelScenario {
+    let layout = PsLayout {
+        p: 1,
+        shards: 1,
+        dim: 1,
+    };
     scenario(
         "downpour_pull_retry",
         2,
-        Arc::new(|mut t: ModelTransport| {
-            if t.rank() == 0 {
-                let mut got = None;
-                for _attempt in 0..3 {
-                    wire(t.send(1, REQ, vec![1.0]))?;
-                    match t.recv_deadline(1, REP, Duration::from_millis(20)) {
-                        Ok(v) => {
-                            got = Some(v);
-                            break;
-                        }
-                        Err(CommError::Timeout { .. }) => continue,
-                        Err(e) => return Err(e.to_string()),
-                    }
-                }
-                wire(t.send(1, DONE, vec![f32::from_bits(u32::MAX)]))?;
-                got.ok_or_else(|| "pull retries exhausted".to_string())
-            } else {
-                let cands = [(0usize, REQ), (0, DONE)];
-                loop {
-                    let (_, v) = wire(t.recv_any(&cands))?;
-                    if v.first().map(|f| f.to_bits()) == Some(u32::MAX) {
-                        return Ok(vec![]);
-                    }
-                    // A reply to a stale retried request may find the
-                    // learner already gone — best-effort, like the real PS.
-                    match t.send(0, REP, vec![42.0]) {
-                        Ok(()) | Err(CommError::PeerGone { .. }) => {}
-                        Err(e) => return Err(e.to_string()),
-                    }
-                }
+        Arc::new(move |t: ModelTransport| {
+            if t.rank() == 1 {
+                let mut t = t;
+                return serve_shard(&mut t, &layout, vec![42.0]).map_err(|e| e.to_string());
             }
+            let mut client = PsTransportClient::new(t, layout).with_pull_policy(PullPolicy {
+                deadline: Duration::from_millis(20),
+                retries: 2,
+                backoff: Duration::ZERO,
+            });
+            let got = client.pull().map_err(|e| e.to_string())?;
+            client.finish().map_err(|e| e.to_string())?;
+            Ok(got)
         }),
-        // Two deadline misses per interleaving: the third attempt must be
-        // served (exactly the retry ladder's worst case).
         2,
         true,
         true,
@@ -836,17 +864,63 @@ pub fn model_scenarios() -> Vec<ModelScenario> {
         sc_allreduce_tree(3, "allreduce_tree_p3"),
         sc_allreduce_tree(4, "allreduce_tree_p4"),
         sc_reduce_root1(4),
-        sc_sparse(3),
-        sc_ring(3),
-        sc_back_to_back(3),
-        sc_hierarchical(),
-        sc_ps(false),
-        sc_ps(true),
-        sc_ft_fault_free(3),
-        sc_ft_one_dead(3),
+        sc_sparse(3, "sparse_allreduce_tree"),
+        sc_sparse(4, "sparse_allreduce_tree_p4"),
+        sc_ring(3, "allreduce_ring"),
+        sc_ring(4, "allreduce_ring_p4"),
+        sc_back_to_back(3, "back_to_back_allreduce"),
+        sc_back_to_back(4, "back_to_back_allreduce_p4"),
+        sc_hierarchical(2, 2, "hierarchical_2x2"),
+        sc_ps("ps_transport", 1, [1, 1]),
+        sc_ps("ps_snapshot", 1, [2, 1]),
+        sc_ft_fault_free(3, "ft_allreduce_fault_free"),
+        sc_ft_fault_free(4, "ft_allreduce_fault_free_p4"),
+        sc_ft_one_dead(3, 2, "ft_allreduce_one_dead"),
+        sc_ft_one_dead(4, 3, "ft_allreduce_one_dead_p4"),
         sc_engine_sasgd(),
         sc_engine_dasgd(),
-        sc_downpour_retry(),
+        sc_pull_retry(),
+    ]
+}
+
+/// The corpus for seeded bounded search — p = 8, and worlds whose
+/// interleaving space exceeds the exhaustive budget: `(scenario,
+/// executions, seed)`.
+fn bounded_scenarios() -> Vec<(ModelScenario, usize, u64)> {
+    vec![
+        (
+            sc_allreduce_tree(8, "allreduce_tree_p8_bounded"),
+            12,
+            0x0005_a56d,
+        ),
+        (sc_ring(8, "allreduce_ring_p8_bounded"), 8, 0x00c0_ffee),
+        (
+            sc_sparse(8, "sparse_allreduce_tree_p8_bounded"),
+            12,
+            0x0005_a56e,
+        ),
+        (
+            sc_hierarchical(2, 4, "hierarchical_2x4_bounded"),
+            12,
+            0x0005_a56f,
+        ),
+        (
+            sc_ft_fault_free(8, "ft_allreduce_fault_free_p8_bounded"),
+            12,
+            0x0005_a570,
+        ),
+        (
+            sc_ft_one_dead(8, 5, "ft_allreduce_one_dead_p8_bounded"),
+            6,
+            0x0005_a571,
+        ),
+        // Two shards past the exhaustive budget (> 60 k executions with
+        // even one learner pulling): bounded like the p = 8 entries.
+        (
+            sc_ps("ps_transport_s2_bounded", 2, [1, 1]),
+            200,
+            0x0005_a572,
+        ),
     ]
 }
 
@@ -855,13 +929,11 @@ pub fn model_scenarios() -> Vec<ModelScenario> {
 pub fn run_model_sweep() -> Vec<ModelScenarioResult> {
     let mut out: Vec<ModelScenarioResult> =
         model_scenarios().iter().map(explore_exhaustive).collect();
-    let p8 = sc_allreduce_tree(8, "allreduce_tree_p8_bounded");
-    out.push(explore_random(&p8, 12, 0x0005_a56d));
-    let ring8 = ModelScenario {
-        name: "allreduce_ring_p8_bounded",
-        ..sc_ring(8)
-    };
-    out.push(explore_random(&ring8, 8, 0x00c0_ffee));
+    out.extend(
+        bounded_scenarios()
+            .iter()
+            .map(|(sc, execs, seed)| explore_random(sc, *execs, *seed)),
+    );
     out
 }
 
@@ -1051,8 +1123,8 @@ mod tests {
     }
 
     #[test]
-    fn downpour_retry_always_ends_served() {
-        let res = explore_exhaustive(&sc_downpour_retry());
+    fn pull_retry_always_ends_served() {
+        let res = explore_exhaustive(&sc_pull_retry());
         assert!(res.ok(), "{res:?}");
         // The timeout budget makes deadline branches real choices, so the
         // retry ladder itself is explored.

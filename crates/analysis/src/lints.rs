@@ -8,7 +8,7 @@
 //! | `map-iter`    | no `HashMap`/`HashSet` in numeric crates (`tensor`, `nn`, `core`, `comm`) — nondeterministic iteration order can reach numerics |
 //! | `unsafe`      | no `unsafe` outside the allow-list; allowed blocks must carry a `// SAFETY:` comment within 4 lines above |
 //! | `wall-clock`  | no `Instant::now` / `SystemTime` outside the threaded backend and `bench` — the Simulated backend is virtual-clock pure |
-//! | `raw-spawn`   | no `std::thread::spawn` outside `comm`, the threaded backend, and the race-checker host |
+//! | `raw-spawn`   | no `std::thread::spawn` outside `comm`, the threaded backend, and the model checker's host |
 //! | `hot-alloc`   | no heap-allocating calls (`Vec::new`, `vec!`, `.to_vec()`, `.clone()`, …) inside functions annotated `// hot-path` |
 //! | `float-cast`  | no `as` casts with syntactic float evidence in gradient-math crates (float→int truncation, `f64`→`f32` width collapse) |
 //! | `comm-unwrap` | no `.unwrap()`/`.expect()` on `CommError`-carrying Results in `comm`/`core` library code — peer loss and timeouts are runtime conditions, not bugs |
@@ -103,7 +103,7 @@ const WALL_CLOCK_ALLOWED: &[&str] = &[
 ];
 
 /// Raw thread creation: the comm substrate, the threaded backend, and the
-/// schedule-exploration harness itself (it hosts rank threads).
+/// model checker itself (it hosts rank threads).
 const SPAWN_ALLOWED: &[&str] = &[
     "crates/comm/",
     "crates/core/src/threaded.rs",
@@ -132,10 +132,9 @@ const COMM_RESULT_FNS: &[&str] = &[
     "reduce_tree",
     "allreduce_tree",
     "allreduce_ring",
-    "sparse_allreduce_tree",
+    "sparse_allreduce_tree_v2",
     "ft_allreduce",
     "serve_shard",
-    "pull_snapshot",
 ];
 
 fn in_scope(path: &str, prefixes: &[&str]) -> bool {
@@ -307,7 +306,7 @@ pub fn lint_file(path: &str, src: &str) -> Vec<Violation> {
                     "raw-spawn",
                     t.line,
                     "std::thread::spawn outside comm/core::threaded: threads must go through \
-                     the comm substrate so the race checker can see them"
+                     the comm substrate so the checkers can see them"
                         .to_string(),
                     &mut out,
                 );
@@ -455,8 +454,8 @@ fn cfg_test_line_ranges(toks: &[Tok]) -> Vec<(u32, u32)> {
 
 /// Calls in the postfix receiver chain left of the `.` at `dot`, as
 /// `(name, top-level arg count)` pairs: `t.recv(src, tag).unwrap()` yields
-/// `[("recv", 2)]`, `client.pull_snapshot()?.expect(..)` yields
-/// `[("pull_snapshot", 0)]`. Field accesses and the receiver variable
+/// `[("recv", 2)]`, `client.pull()?.expect(..)` yields
+/// `[("pull", 0)]`. Field accesses and the receiver variable
 /// contribute no names (they are not calls). The arg count is syntactic —
 /// top-level commas plus one — which is exactly enough to tell a Transport
 /// `send(dst, tag, data)` from an mpsc `send(value)`.

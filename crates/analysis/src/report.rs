@@ -5,7 +5,6 @@
 
 use crate::dpor::{ModelScenarioResult, ModelSelfCheck};
 use crate::lints::Violation;
-use crate::schedule::ScenarioResult;
 
 /// Escape a string for embedding in a JSON document.
 fn esc(s: &str) -> String {
@@ -35,17 +34,9 @@ pub struct Analysis {
     pub fixture_violations: usize,
     /// Fixture files exercised by the self-check.
     pub fixture_files: usize,
-    /// Race-checker scenario outcomes.
-    pub scenarios: Vec<ScenarioResult>,
-    /// Self-check: the arrival-order bad reduce diverged as expected.
-    pub bad_fixture_diverged: bool,
-    /// Self-check: the deliberate recv cycle was caught with a wait-for
-    /// cycle report.
-    pub deadlock_detected: bool,
-    /// Model-checker leg (`repro analyze --model`): DPOR exploration
-    /// results plus the implanted-bug self-check. `None` when the leg was
-    /// not requested.
-    pub model: Option<ModelReport>,
+    /// Model-checker leg: DPOR exploration results plus the implanted-bug
+    /// self-check.
+    pub model: ModelReport,
 }
 
 /// The model-checker leg's outcome.
@@ -98,14 +89,9 @@ impl ModelReport {
 }
 
 impl Analysis {
-    /// Overall verdict: clean tree, invariant schedules, working self-checks.
+    /// Overall verdict: clean tree, clean model sweep, working self-checks.
     pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-            && self.fixture_violations > 0
-            && self.scenarios.iter().all(ScenarioResult::ok)
-            && self.bad_fixture_diverged
-            && self.deadlock_detected
-            && self.model.as_ref().is_none_or(ModelReport::ok)
+        self.violations.is_empty() && self.fixture_violations > 0 && self.model.ok()
     }
 
     /// Serialize to the `ANALYSIS.json` document.
@@ -135,70 +121,45 @@ impl Analysis {
             self.fixture_violations,
             self.fixture_violations > 0
         ));
-        s.push_str("  \"schedule_scenarios\": [\n");
-        for (i, sc) in self.scenarios.iter().enumerate() {
+        let m = &self.model;
+        s.push_str("  \"model_scenarios\": [\n");
+        for (i, sc) in m.scenarios.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"p\": {}, \"schedules\": {}, \"distinct_results\": {}, \
-                 \"deadlocks\": {}, \"lost_updates\": {}, \"fingerprint\": \"{:016x}\", \"ok\": {}}}{}\n",
+                "    {{\"name\": \"{}\", \"p\": {}, \"explored\": {}, \"pruned\": {}, \
+                 \"distinct_results\": {}, \"races\": {}, \"lost_updates\": {}, \
+                 \"cycles\": {}, \"exhausted\": {}, \"bounded\": {}, \"ok\": {}}}{}\n",
                 esc(&sc.name),
                 sc.p,
-                sc.schedules,
+                sc.explored,
+                sc.pruned,
                 sc.distinct_results,
-                sc.deadlocks,
+                sc.races,
                 sc.lost_updates,
-                sc.fingerprint,
+                sc.cycles,
+                sc.exhausted,
+                sc.bounded,
                 sc.ok(),
-                if i + 1 < self.scenarios.len() { "," } else { "" }
+                if i + 1 < m.scenarios.len() { "," } else { "" }
             ));
         }
         s.push_str("  ],\n");
         s.push_str(&format!(
-            "  \"race_selfcheck\": {{\"bad_fixture_diverged\": {}, \"deadlock_detected\": {}}},\n",
-            self.bad_fixture_diverged, self.deadlock_detected
+            "  \"model\": {{\"explored_total\": {}, \
+             \"pruned_total\": {}, \"races_total\": {}, \"cycles_total\": {}, \
+             \"lost_updates_total\": {}, \"reduction_nonzero\": {}, \
+             \"selfcheck_ok\": {}, \"bad_reduce_witness\": \"{}\", \
+             \"cycle_report\": \"{}\", \"ok\": {}}}\n",
+            m.explored_total(),
+            m.pruned_total(),
+            m.races_total(),
+            m.cycles_total(),
+            m.lost_updates_total(),
+            m.reduction_nonzero(),
+            m.self_check.ok(),
+            esc(&m.self_check.bad_reduce_witness),
+            esc(&m.self_check.cycle_report),
+            m.ok()
         ));
-        match &self.model {
-            None => s.push_str("  \"model\": {\"enabled\": false}\n"),
-            Some(m) => {
-                s.push_str("  \"model_scenarios\": [\n");
-                for (i, sc) in m.scenarios.iter().enumerate() {
-                    s.push_str(&format!(
-                        "    {{\"name\": \"{}\", \"p\": {}, \"explored\": {}, \"pruned\": {}, \
-                         \"distinct_results\": {}, \"races\": {}, \"lost_updates\": {}, \
-                         \"cycles\": {}, \"exhausted\": {}, \"bounded\": {}, \"ok\": {}}}{}\n",
-                        esc(&sc.name),
-                        sc.p,
-                        sc.explored,
-                        sc.pruned,
-                        sc.distinct_results,
-                        sc.races,
-                        sc.lost_updates,
-                        sc.cycles,
-                        sc.exhausted,
-                        sc.bounded,
-                        sc.ok(),
-                        if i + 1 < m.scenarios.len() { "," } else { "" }
-                    ));
-                }
-                s.push_str("  ],\n");
-                s.push_str(&format!(
-                    "  \"model\": {{\"enabled\": true, \"explored_total\": {}, \
-                     \"pruned_total\": {}, \"races_total\": {}, \"cycles_total\": {}, \
-                     \"lost_updates_total\": {}, \"reduction_nonzero\": {}, \
-                     \"selfcheck_ok\": {}, \"bad_reduce_witness\": \"{}\", \
-                     \"cycle_report\": \"{}\", \"ok\": {}}}\n",
-                    m.explored_total(),
-                    m.pruned_total(),
-                    m.races_total(),
-                    m.cycles_total(),
-                    m.lost_updates_total(),
-                    m.reduction_nonzero(),
-                    m.self_check.ok(),
-                    esc(&m.self_check.bad_reduce_witness),
-                    esc(&m.self_check.cycle_report),
-                    m.ok()
-                ));
-            }
-        }
         s.push_str("}\n");
         s
     }
@@ -228,86 +189,65 @@ impl Analysis {
                 "FAIL: lints are dead"
             }
         ));
-        s.push_str("schedule exploration:\n");
-        for sc in &self.scenarios {
+        let m = &self.model;
+        s.push_str("model checker (DPOR over ModelTransport):\n");
+        for sc in &m.scenarios {
             s.push_str(&format!(
-                "  {:<38} p={} schedules={:>3} distinct={} deadlocks={} lost={}  {}\n",
+                "  {:<34} p={} explored={:>5} pruned={:>5} distinct={} races={} lost={} \
+                 cycles={} {}  {}\n",
                 sc.name,
                 sc.p,
-                sc.schedules,
+                sc.explored,
+                sc.pruned,
                 sc.distinct_results,
-                sc.deadlocks,
+                sc.races,
                 sc.lost_updates,
+                sc.cycles,
+                if sc.bounded {
+                    "bounded"
+                } else if sc.exhausted {
+                    "exhaustive"
+                } else {
+                    "TRUNCATED"
+                },
                 if sc.ok() { "ok" } else { "FAIL" }
             ));
-            for r in &sc.deadlock_reports {
+            for r in &sc.reports {
                 s.push_str(&format!("      {r}\n"));
             }
-        }
-        s.push_str(&format!(
-            "race self-check: bad fixture diverged = {}, deadlock detected = {}\n",
-            self.bad_fixture_diverged, self.deadlock_detected
-        ));
-        if let Some(m) = &self.model {
-            s.push_str("\nmodel checker (DPOR over ModelTransport):\n");
-            for sc in &m.scenarios {
-                s.push_str(&format!(
-                    "  {:<34} p={} explored={:>5} pruned={:>5} distinct={} races={} lost={} \
-                     cycles={} {}  {}\n",
-                    sc.name,
-                    sc.p,
-                    sc.explored,
-                    sc.pruned,
-                    sc.distinct_results,
-                    sc.races,
-                    sc.lost_updates,
-                    sc.cycles,
-                    if sc.bounded {
-                        "bounded"
-                    } else if sc.exhausted {
-                        "exhaustive"
-                    } else {
-                        "TRUNCATED"
-                    },
-                    if sc.ok() { "ok" } else { "FAIL" }
-                ));
-                for r in &sc.reports {
-                    s.push_str(&format!("      {r}\n"));
-                }
-                if let Some(w) = &sc.witness {
-                    s.push_str(&format!("      witness: {w}\n"));
-                }
-                for e in &sc.errors {
-                    s.push_str(&format!("      error: {e}\n"));
-                }
+            if let Some(w) = &sc.witness {
+                s.push_str(&format!("      witness: {w}\n"));
             }
-            let c = &m.self_check;
-            s.push_str(&format!(
-                "  model self-check: races={} (witness {}, replay {}), lost={}, rmw clean={}, \
-                 cycle caught={} ({})\n",
-                c.bad_reduce_races,
-                if c.bad_reduce_witness.is_empty() {
-                    "MISSING"
-                } else {
-                    &c.bad_reduce_witness
-                },
-                if c.bad_reduce_replay_confirms {
-                    "confirms"
-                } else {
-                    "FAILS"
-                },
-                c.lost_updates_caught,
-                c.rmw_clean,
-                c.cycle_caught,
-                if c.ok() { "ok" } else { "FAIL" }
-            ));
-            s.push_str(&format!(
-                "  model totals: explored={} pruned={} reduction_nonzero={}\n",
-                m.explored_total(),
-                m.pruned_total(),
-                m.reduction_nonzero()
-            ));
+            for e in &sc.errors {
+                s.push_str(&format!("      error: {e}\n"));
+            }
         }
+        let c = &m.self_check;
+        s.push_str(&format!(
+            "  model self-check: races={} (witness {}, replay {}), lost={}, rmw clean={}, \
+             cycle caught={} ({})\n",
+            c.bad_reduce_races,
+            if c.bad_reduce_witness.is_empty() {
+                "MISSING"
+            } else {
+                &c.bad_reduce_witness
+            },
+            if c.bad_reduce_replay_confirms {
+                "confirms"
+            } else {
+                "FAILS"
+            },
+            c.lost_updates_caught,
+            c.rmw_clean,
+            c.cycle_caught,
+            if c.ok() { "ok" } else { "FAIL" }
+        ));
+        s.push_str(&format!(
+            "  model totals: explored={} pruned={} reduction_nonzero={}\n",
+            m.explored_total(),
+            m.pruned_total(),
+            m.reduction_nonzero()
+        ));
         s.push_str(&format!(
             "\noverall: {}\n",
             if self.ok() { "OK" } else { "FAIL" }
@@ -337,15 +277,24 @@ mod tests {
             }],
             fixture_violations: 5,
             fixture_files: 2,
-            scenarios: Vec::new(),
-            bad_fixture_diverged: true,
-            deadlock_detected: true,
-            model: None,
+            model: ModelReport {
+                scenarios: Vec::new(),
+                self_check: ModelSelfCheck {
+                    bad_reduce_races: 0,
+                    bad_reduce_witness: String::new(),
+                    bad_reduce_replay_confirms: false,
+                    lost_updates_caught: 0,
+                    lost_update_witness: String::new(),
+                    rmw_clean: true,
+                    cycle_caught: false,
+                    cycle_report: String::new(),
+                },
+            },
         };
         let j = a.to_json();
         assert!(j.contains("\"files_scanned\": 3"));
         assert!(j.contains("no \\\"maps\\\""));
-        assert!(j.contains("\"model\": {\"enabled\": false}"));
+        assert!(j.contains("\"selfcheck_ok\": false"));
         assert!(j.contains("\"ok\": false")); // violations present → not ok
     }
 }

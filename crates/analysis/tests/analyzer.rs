@@ -1,20 +1,28 @@
-//! Integration tests for both analyzer legs.
+//! Integration tests for the lint leg, plus a thin real-thread smoke of
+//! what the model checker explores on its modeled transport.
 //!
 //! * The lint pass must fire on every bad fixture, stay silent on every
 //!   good fixture, and report **zero** violations on the real tree.
-//! * The race checker must certify the shipped collectives
-//!   schedule-invariant, catch the arrival-order bad reduce bitwise, and
-//!   flag the deliberate recv cycle with a held-resource report.
+//! * The shipped collectives and the two-shard parameter server, run on
+//!   real `CommWorld` threads at p = 4 and 8, must match in-memory
+//!   references bitwise. (The negative controls live in
+//!   `model_checker.rs`.)
 
 use std::collections::BTreeSet;
+use std::thread;
 use std::time::Duration;
 
 use sasgd_analysis::lints::{call_taint_single, lint_file};
 use sasgd_analysis::scan::{fixtures_dir, lint_fixture_corpus, lint_repo, repo_root};
-use sasgd_analysis::schedule::{
-    exhaustive_schedules, random_schedules, scenario_allreduce_tree, scenario_bad_reduce,
-    scenario_deadlock, scenario_hierarchical, scenario_ps, scenario_sparse_allreduce,
+use sasgd_analysis::schedule::{order_sensitive_input, tree_reference};
+use sasgd_comm::collectives::{allreduce_ring, allreduce_tree, chunk_bounds};
+use sasgd_comm::ft::{ft_allreduce, Membership};
+use sasgd_comm::hierarchy::{grouped, hierarchical_allreduce};
+use sasgd_comm::ps_transport::{run_inproc, PsLayout};
+use sasgd_comm::sparse::{
+    sparse_allreduce_tree_v2, tree_combine_bounded, SparseLevelProfile, SparseTreeOpts, SparseVec,
 };
+use sasgd_comm::world::{CommWorld, Communicator};
 
 fn fixture_lints(name: &str) -> Vec<&'static str> {
     let path = fixtures_dir().join(name);
@@ -118,116 +126,182 @@ fn real_tree_is_clean() {
 }
 
 // ---------------------------------------------------------------------------
-// Race-checker leg.
+// Real-thread smoke: the DPOR corpus runs on the model transport; this
+// runs the same collectives and the PS on real `CommWorld` threads and
+// pins every result bitwise to an in-memory reference.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn allreduce_tree_is_schedule_invariant_exhaustive() {
-    for p in [2usize, 3, 4] {
-        let r = scenario_allreduce_tree(p, &exhaustive_schedules(p));
-        assert_eq!(r.distinct_results, 1, "p={p}: {r:?}");
-        assert_eq!(r.deadlocks, 0, "p={p}: {r:?}");
+const M: usize = 9;
+
+/// Run `body` on every rank of a `p`-rank in-process world; results in
+/// rank order.
+fn on_threads(p: usize, body: impl Fn(Communicator) -> Vec<f32> + Sync) -> Vec<Vec<f32>> {
+    let mut world = CommWorld::new(p);
+    let comms = world.communicators();
+    let body = &body;
+    thread::scope(|s| {
+        let handles: Vec<_> = comms
+            .into_iter()
+            .map(|c| s.spawn(move || body(c)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("rank thread"))
+            .collect()
+    })
+}
+
+fn inputs(p: usize) -> Vec<Vec<f32>> {
+    (0..p).map(|r| order_sensitive_input(r, M)).collect()
+}
+
+/// Rank `r`'s input kept only where `(r + j)` is even — a sparse gradient
+/// with order-sensitive magnitudes.
+fn sparse_input(r: usize) -> Vec<f32> {
+    order_sensitive_input(r, M)
+        .into_iter()
+        .enumerate()
+        .map(|(j, x)| if (r + j).is_multiple_of(2) { x } else { 0.0 })
+        .collect()
+}
+
+/// The ring's combine order: chunk `c` starts as rank `c`'s own chunk
+/// and absorbs ranks `c+1, c+2, …` (mod p) in turn.
+fn ring_reference(bufs: &[Vec<f32>]) -> Vec<f32> {
+    let p = bufs.len();
+    let mut out = vec![0.0f32; M];
+    for (c, &(lo, hi)) in chunk_bounds(M, p).iter().enumerate() {
+        for j in lo..hi {
+            let mut acc = bufs[c][j];
+            for k in 1..p {
+                acc += bufs[(c + k) % p][j];
+            }
+            out[j] = acc;
+        }
+    }
+    out
+}
+
+fn assert_bitwise(what: &str, p: usize, got: &[Vec<f32>], want: &[f32]) {
+    for (r, v) in got.iter().enumerate() {
+        let same =
+            v.len() == want.len() && v.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same, "{what} p={p} rank {r}: {v:?} != reference {want:?}");
     }
 }
 
 #[test]
-fn sparse_allreduce_is_schedule_invariant() {
-    let r = scenario_sparse_allreduce(4, &exhaustive_schedules(4));
-    assert_eq!(r.distinct_results, 1, "{r:?}");
-    assert_eq!(r.deadlocks, 0);
-}
+fn real_thread_collectives_match_in_memory_references_bitwise() {
+    for p in [4usize, 8] {
+        let tree = tree_reference(inputs(p));
+        let got = on_threads(p, |mut c| {
+            let mut v = order_sensitive_input(c.rank(), M);
+            allreduce_tree(&mut c, &mut v).expect("tree allreduce");
+            v
+        });
+        assert_bitwise("allreduce_tree", p, &got, &tree);
 
-#[test]
-fn hierarchical_allreduce_is_schedule_invariant() {
-    let r = scenario_hierarchical(2, 2, &exhaustive_schedules(4));
-    assert_eq!(r.distinct_results, 1, "{r:?}");
-    assert_eq!(r.deadlocks, 0);
-}
+        let got = on_threads(p, |mut c| {
+            let mut v = order_sensitive_input(c.rank(), M);
+            allreduce_ring(&mut c, &mut v).expect("ring allreduce");
+            v
+        });
+        assert_bitwise("allreduce_ring", p, &got, &ring_reference(&inputs(p)));
 
-#[test]
-fn random_schedules_at_p8_are_invariant() {
-    let r = scenario_allreduce_tree(8, &random_schedules(8, 6, 0xfeed));
-    assert_eq!(r.distinct_results, 1, "{r:?}");
-    assert_eq!(r.deadlocks, 0);
-}
+        let svs = (0..p)
+            .map(|r| SparseVec::from_dense(&sparse_input(r)))
+            .collect();
+        let (sparse_total, _, _) = tree_combine_bounded(svs, false, &vec![None; p]);
+        let got = on_threads(p, |mut c| {
+            let mut sv = SparseVec::from_dense(&sparse_input(c.rank()));
+            let mut profile = SparseLevelProfile::default();
+            let spill =
+                sparse_allreduce_tree_v2(&mut c, &mut sv, SparseTreeOpts::default(), &mut profile)
+                    .expect("sparse allreduce");
+            assert_eq!(spill.nnz(), 0, "unbounded tree spills nothing");
+            sv.to_dense()
+        });
+        assert_bitwise(
+            "sparse_allreduce_tree_v2",
+            p,
+            &got,
+            &sparse_total.to_dense(),
+        );
 
-#[test]
-fn ps_path_has_no_lost_updates() {
-    let r = scenario_ps(4, 2, 5, &exhaustive_schedules(4));
-    assert_eq!(r.lost_updates, 0, "{r:?}");
-    assert_eq!(r.deadlocks, 0);
-    assert_eq!(r.distinct_results, 1, "commuting adds must converge: {r:?}");
-}
+        let got = on_threads(p, |mut c| {
+            let mut membership = Membership::new(c.size());
+            let mut v = order_sensitive_input(c.rank(), M);
+            let out = ft_allreduce(&mut c, &mut membership, &mut v, Duration::from_secs(5))
+                .expect("ft allreduce");
+            assert!(
+                out.lost.is_empty(),
+                "fault-free round evicted {:?}",
+                out.lost
+            );
+            v
+        });
+        assert_bitwise("ft_allreduce", p, &got, &tree);
 
-/// Regression: a reduce that combines children in *arrival* order must be
-/// caught by the bitwise-invariance assertion. This is the test that proves
-/// the checker can actually see the class of bug it exists for.
-#[test]
-fn arrival_order_reduce_is_caught() {
-    let r = scenario_bad_reduce(3, &exhaustive_schedules(3));
-    assert!(
-        r.distinct_results > 1,
-        "bad reduce produced one result across {} schedules — checker is blind: {r:?}",
-        r.schedules
-    );
-}
-
-/// Regression: a recv cycle must trip the watchdog and the report must name
-/// the resource each rank is blocked on.
-#[test]
-fn recv_cycle_is_reported_with_held_resources() {
-    let r = scenario_deadlock(2);
-    assert_eq!(r.deadlocks, 1, "{r:?}");
-    let report = &r.deadlock_reports[0];
-    assert!(
-        report.contains("rank 0 blocked on (src 1, tag 99)"),
-        "{report}"
-    );
-    assert!(
-        report.contains("rank 1 blocked on (src 0, tag 99)"),
-        "{report}"
-    );
-}
-
-/// The schedule generators themselves: exhaustive really is p! × 3, and the
-/// seeded stream is reproducible.
-#[test]
-fn schedule_generators_are_deterministic() {
-    assert_eq!(exhaustive_schedules(3).len(), 18); // 3! × 3 bases
-    assert_eq!(exhaustive_schedules(4).len(), 72); // 4! × 3 bases
-    let a = random_schedules(8, 4, 42);
-    let b = random_schedules(8, 4, 42);
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.start, y.start);
-        assert_eq!(x.delays.send, y.delays.send);
-        assert_eq!(x.delays.recv, y.delays.recv);
+        let per_group = p / 2;
+        let group_sums = inputs(p)
+            .chunks(per_group)
+            .map(|g| tree_reference(g.to_vec()))
+            .collect();
+        let hier = tree_reference(group_sums);
+        let got = thread::scope(|s| {
+            let handles: Vec<_> = grouped(2, per_group)
+                .into_iter()
+                .enumerate()
+                .map(|(r, mut b)| {
+                    s.spawn(move || {
+                        let mut v = order_sensitive_input(r, M);
+                        hierarchical_allreduce(&mut b, &mut v).expect("hierarchical allreduce");
+                        v
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("rank thread"))
+                .collect::<Vec<_>>()
+        });
+        assert_bitwise("hierarchical_allreduce", p, &got, &hier);
     }
-    let c = random_schedules(8, 4, 43);
-    assert!(a
-        .iter()
-        .zip(&c)
-        .any(|(x, y)| x.delays.send != y.delays.send));
 }
 
-/// Delay injection must not alter the *values* a collective computes, only
-/// their timing — spot-check against an undelayed run.
 #[test]
-fn delays_do_not_change_results() {
-    use sasgd_analysis::schedule::{explore_with, Schedule};
-    use std::sync::Arc;
-    let none = vec![Schedule::default()];
-    let some = exhaustive_schedules(2);
-    let scenario = Arc::new(|rank: usize, comm: &mut sasgd_comm::Communicator| {
-        let mut v = vec![rank as f32 + 1.0; 4];
-        sasgd_comm::collectives::allreduce_tree(comm, &mut v).expect("allreduce");
-        v
-    });
-    let a = explore_with("plain", 2, &none, scenario.clone(), Duration::from_secs(5));
-    let b = explore_with("delayed", 2, &some, scenario, Duration::from_secs(5));
-    assert_eq!(a.distinct_results, 1);
-    assert_eq!(b.distinct_results, 1);
-    assert_eq!(
-        a.fingerprint, b.fingerprint,
-        "delay injection changed the computed values, not just their timing"
-    );
+fn real_thread_two_shard_ps_matches_in_memory_reference_bitwise() {
+    for p in [4usize, 8] {
+        // Learner r's delta lives on coordinates j ≡ r (mod p), so every
+        // coordinate takes exactly one nonzero add: the arrival order of
+        // the learners cannot change a bit, while the values stay
+        // order-sensitive.
+        let delta = |r: usize| -> Vec<f32> {
+            order_sensitive_input(r, M)
+                .into_iter()
+                .enumerate()
+                .map(|(j, x)| if j % p == r { x } else { 0.0 })
+                .collect()
+        };
+        let initial = order_sensitive_input(p, M);
+        let want: Vec<f32> = (0..M).map(|j| initial[j] + delta(j % p)[j]).collect();
+        let layout = PsLayout {
+            p,
+            shards: 2,
+            dim: M,
+        };
+        let run = run_inproc(layout, &initial, |mut client| {
+            let rank = client.rank();
+            client.add(&delta(rank)).expect("add");
+            let pulled = client.pull().expect("pull");
+            client.finish().expect("finish");
+            // Per-learner FIFO: this learner's own add is in its pull.
+            (0..M)
+                .filter(|j| j % p == rank)
+                .all(|j| pulled[j].to_bits() == want[j].to_bits())
+        })
+        .expect("shards serve");
+        assert!(run.learners.iter().all(|&own_visible| own_visible), "p={p}");
+        assert_bitwise("ps_transport_s2", p, &[run.params], &want);
+    }
 }

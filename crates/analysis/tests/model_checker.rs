@@ -1,7 +1,7 @@
 //! Negative controls for the DPOR model checker: every detector must
 //! catch its implanted bug — with a replayable witness — and the clean
 //! twins must stay clean. These are the tests that prove the checker can
-//! see the classes of bug it exists for; `repro analyze --model` runs the
+//! see the classes of bug it exists for; `repro analyze` runs the
 //! same scenarios as part of the CI gate.
 
 use sasgd_analysis::dpor::{

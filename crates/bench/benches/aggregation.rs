@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sasgd_comm::collectives::allreduce_tree;
-use sasgd_comm::ps::{PsConfig, PsServer};
+use sasgd_comm::ps_transport::{run_inproc, PsLayout};
 use sasgd_comm::world::CommWorld;
 use std::thread;
 
@@ -23,17 +23,12 @@ fn aggregate_allreduce(p: usize, m: usize) {
 }
 
 fn aggregate_ps(p: usize, m: usize, shards: usize) {
-    let ps = PsServer::spawn(vec![0.0f32; m], PsConfig { shards });
-    thread::scope(|s| {
-        for _ in 0..p {
-            let client = ps.client();
-            s.spawn(move || {
-                client.push_gradient(0.1, &vec![1.0f32; m]);
-                let _params = client.pull();
-            });
-        }
-    });
-    ps.shutdown();
+    let layout = PsLayout { p, shards, dim: m };
+    run_inproc(layout, &vec![0.0f32; m], |mut client| {
+        client.add(&vec![-0.1f32; m]).expect("push");
+        let _params = client.pull().expect("pull");
+    })
+    .expect("shards serve");
 }
 
 fn bench_aggregation(c: &mut Criterion) {

@@ -28,8 +28,9 @@
 //! reconstruction is bitwise identical to the sender's dense form and
 //! the tree reduce stays a plain f32 sum.
 //!
-//! [`sparse_allreduce_tree_v2`] layers two things on the v1 collective:
-//! a per-level wire profile ([`SparseLevelProfile`], measuring how the
+//! [`sparse_allreduce_tree_v2`] is that collective — reduce to rank 0
+//! plus a broadcast of the encoded sum — with two optional layers: a
+//! per-level wire profile ([`SparseLevelProfile`], measuring how the
 //! index union grows with tree depth) and an optional union bound that
 //! re-TopKs each merged partial, folding the trimmed mass back to the
 //! caller as a sparse *spill* for its error-feedback residual — nothing
@@ -186,54 +187,6 @@ impl SparseVec {
 /// Tag space mirroring `collectives::tag` (kept private there).
 fn tag(op: u64, phase: u64) -> u64 {
     (op << 4) | phase
-}
-
-/// Binomial-tree sum-reduce of sparse vectors to `root`, in the exact
-/// combine order of [`crate::collectives::reduce_tree`]. On non-root ranks `sv`
-/// is left as the partial this rank forwarded.
-pub fn sparse_reduce_tree<T: Transport>(
-    comm: &mut T,
-    root: usize,
-    sv: &mut SparseVec,
-) -> Result<(), CommError> {
-    let p = comm.size();
-    if p == 1 {
-        comm.next_op();
-        return Ok(());
-    }
-    let op = comm.next_op();
-    let vrank = (comm.rank() + p - root) % p;
-    let mut bit = 1usize;
-    while bit < p {
-        if vrank & bit != 0 {
-            let parent_v = vrank & !bit;
-            let parent = (parent_v + root) % p;
-            comm.send(parent, tag(op, 1), sv.encode())?;
-            return Ok(());
-        }
-        let child_v = vrank | bit;
-        if child_v < p {
-            let child = (child_v + root) % p;
-            let part = SparseVec::decode(&comm.recv(child, tag(op, 1))?);
-            sv.add_assign(&part);
-        }
-        bit <<= 1;
-    }
-    Ok(())
-}
-
-/// Sparse allreduce (sum): sparse reduce to rank 0 plus broadcast of the
-/// encoded result. Every rank returns with the full sparse sum; wire
-/// traffic is `O(nnz)` per hop.
-pub fn sparse_allreduce_tree<T: Transport>(
-    comm: &mut T,
-    sv: &mut SparseVec,
-) -> Result<(), CommError> {
-    sparse_reduce_tree(comm, 0, sv)?;
-    let mut enc = sv.encode();
-    broadcast(comm, 0, &mut enc)?;
-    *sv = SparseVec::decode(&enc);
-    Ok(())
 }
 
 /// A sparse vector with 8-bit quantized values: the composed
@@ -439,8 +392,8 @@ impl SparseLevelProfile {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SparseTreeOpts {
     /// Re-TopK every merged partial down to this many entries, folding
-    /// the trimmed mass into the spill. `None` = unbounded (v1
-    /// behavior).
+    /// the trimmed mass into the spill. `None` = unbounded (the
+    /// exact sum).
     pub union_bound: Option<usize>,
     /// When set, leaf-level sends (a rank's own un-merged contribution,
     /// which the compressor placed exactly on this `q·scale` grid) ship
@@ -507,11 +460,11 @@ fn trim_to_bound(sv: &mut SparseVec, bound: usize) -> SparseVec {
     rest
 }
 
-/// Reduce phase of [`sparse_allreduce_tree_v2`] (root 0): v1's combine
-/// order plus per-level profiling, optional q8 leaf frames, and optional
+/// Reduce phase of [`sparse_allreduce_tree_v2`] (root 0): the dense
+/// tree's combine order plus per-level profiling, optional q8 leaf frames, and optional
 /// union-bound trimming after every merge (trimmed mass accumulates in
 /// `spill`).
-fn sparse_reduce_tree_v2<T: Transport>(
+fn sparse_reduce_to_root<T: Transport>(
     comm: &mut T,
     sv: &mut SparseVec,
     opts: SparseTreeOpts,
@@ -555,13 +508,15 @@ fn sparse_reduce_tree_v2<T: Transport>(
     Ok(())
 }
 
-/// Sparse allreduce v2: v1's reduce-to-0-plus-broadcast with per-level
-/// wire profiling, optional [`SparseVec8`] leaf frames, and an optional
-/// union bound. Returns this rank's *spill* — the mass its trims removed
-/// from partial sums — which the caller must fold into its
-/// error-feedback residual so nothing is lost. With default
-/// [`SparseTreeOpts`] the result is bitwise identical to
-/// [`sparse_allreduce_tree`] and the spill is empty.
+/// Sparse allreduce (sum): binomial-tree reduce to rank 0 plus a
+/// broadcast of the encoded result, so every rank returns with the full
+/// sparse sum and wire traffic is `O(nnz)` per hop. Adds per-level wire
+/// profiling, optional [`SparseVec8`] leaf frames, and an optional union
+/// bound. Returns this rank's *spill* — the mass its trims removed from
+/// partial sums — which the caller must fold into its error-feedback
+/// residual so nothing is lost. With default [`SparseTreeOpts`] the spill
+/// is empty and the result is bitwise the dense tree allreduce of the
+/// densified inputs.
 ///
 /// Reduce sends are profiled at the sender; the result broadcast
 /// (`p − 1` messages of the root frame) is profiled analytically on
@@ -579,7 +534,7 @@ pub fn sparse_allreduce_tree_v2<T: Transport>(
         idx: Vec::new(),
         val: Vec::new(),
     };
-    sparse_reduce_tree_v2(comm, sv, opts, profile, &mut spill)?;
+    sparse_reduce_to_root(comm, sv, opts, profile, &mut spill)?;
     let mut enc = sv.encode();
     if comm.rank() == 0 && p > 1 {
         let msgs = (p - 1) as u64;
@@ -783,6 +738,13 @@ mod tests {
         out.into_iter().map(|o| o.expect("result")).collect()
     }
 
+    /// The unbounded, unprofiled sparse allreduce; returns the spill.
+    fn allreduce_exact(c: &mut Communicator, sv: &mut SparseVec) -> SparseVec {
+        let mut profile = SparseLevelProfile::default();
+        sparse_allreduce_tree_v2(c, sv, SparseTreeOpts::default(), &mut profile)
+            .expect("sparse allreduce")
+    }
+
     #[test]
     fn encode_decode_round_trip() {
         let v = vec![0.0f32, -1.5, 0.0, 3.25, 0.0, 1e-30];
@@ -835,7 +797,8 @@ mod tests {
             });
             let sparse = run_world(p, |c| {
                 let mut sv = SparseVec::from_dense(&input(c.rank()));
-                sparse_allreduce_tree(c, &mut sv).expect("sparse allreduce");
+                let spill = allreduce_exact(c, &mut sv);
+                assert_eq!(spill.nnz(), 0, "unbounded tree spills nothing");
                 sv.to_dense()
             });
             for (d, s) in dense.iter().zip(&sparse) {
@@ -880,7 +843,7 @@ mod tests {
                             v[j * 97 % m] = c.rank() as f32 + 1.0;
                         }
                         let mut sv = SparseVec::from_dense(&v);
-                        sparse_allreduce_tree(&mut c, &mut sv).expect("sparse allreduce");
+                        allreduce_exact(&mut c, &mut sv);
                     });
                 }
             });
@@ -957,43 +920,6 @@ mod tests {
         let rest = trim_to_bound(&mut sv, 5);
         assert_eq!(rest.nnz(), 0);
         assert_eq!(sv.idx, vec![1, 3]);
-    }
-
-    #[test]
-    fn v2_with_default_opts_matches_v1_bitwise_with_empty_spill() {
-        for p in [1usize, 2, 3, 4, 7, 8] {
-            let m = 17;
-            let input = |r: usize| -> Vec<f32> {
-                (0..m)
-                    .map(|j| {
-                        if (j + r).is_multiple_of(3) {
-                            (r as f32 + 1.0) * 0.1 + j as f32
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect()
-            };
-            let v1 = run_world(p, |c| {
-                let mut sv = SparseVec::from_dense(&input(c.rank()));
-                sparse_allreduce_tree(c, &mut sv).expect("v1");
-                sv.to_dense()
-            });
-            let v2 = run_world(p, |c| {
-                let mut sv = SparseVec::from_dense(&input(c.rank()));
-                let mut profile = SparseLevelProfile::default();
-                let spill =
-                    sparse_allreduce_tree_v2(c, &mut sv, SparseTreeOpts::default(), &mut profile)
-                        .expect("v2");
-                assert_eq!(spill.nnz(), 0, "unbounded tree spills nothing");
-                sv.to_dense()
-            });
-            for (a, b) in v1.iter().zip(&v2) {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "p={p}");
-                }
-            }
-        }
     }
 
     #[test]

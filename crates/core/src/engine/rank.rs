@@ -10,19 +10,24 @@
 //! multi-process run produces bitwise the same `final_params` as an
 //! in-process one (the launcher's integration test pins this).
 //!
-//! Wire failures are typed, never panics: a plain-SASGD rank returns
+//! [`run_ps_rank`] is the asynchronous counterpart: one Downpour or
+//! EAMSGD learner trading with parameter-server shards through a
+//! [`PsTransportClient`].
+//!
+//! Wire failures are typed, never panics: a plain-SASGD or PS rank returns
 //! [`EngineError::WireFailure`]; a fault-tolerant rank that *can* degrade
 //! (evicted, or orphaned while rank 0 still coordinates) retires into
 //! [`History::retirements`] instead.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use sasgd_comm::collectives::{allreduce_tree, broadcast};
 use sasgd_comm::fault::FaultPlan;
 use sasgd_comm::ft::{ft_allreduce, FtError, Membership};
+use sasgd_comm::ps_transport::{PsTransportClient, PsTransportError};
 use sasgd_comm::sparse::{
-    q8_allreduce_tree, sparse_allreduce_tree, sparse_allreduce_tree_v2, SparseLevelProfile,
-    SparseTreeOpts, SparseVec,
+    q8_allreduce_tree, sparse_allreduce_tree_v2, SparseLevelProfile, SparseTreeOpts, SparseVec,
 };
 use sasgd_comm::transport::Transport;
 use sasgd_comm::world::CommError;
@@ -163,6 +168,7 @@ pub fn run_sasgd_rank<T: Transport>(
             history.records.push(rec);
         }
     }
+    history.sync_rounds = round;
     history.final_params = Some(learner.model.param_vector());
     Ok(history)
 }
@@ -302,6 +308,7 @@ pub fn run_sasgd_ft_rank<T: Transport>(
             history.records.push(rec);
         }
     }
+    history.sync_rounds = round;
     history.final_params = Some(learner.model.param_vector());
     Ok(history)
 }
@@ -312,6 +319,201 @@ fn wire_failure_ft(rank: usize, round: u64, e: &FtError) -> EngineError {
         round,
         detail: e.to_string(),
     }
+}
+
+/// How an asynchronous learner trades with the parameter server.
+#[derive(Clone, Copy, Debug)]
+pub enum PsExchange {
+    /// Downpour: `T` plain SGD steps accumulate `Σg`; push `−γ·Σg`, then
+    /// pull fresh parameters.
+    Downpour,
+    /// EAMSGD: `T` momentum steps on the local replica; pull the center
+    /// `x̃`, retreat `α(x − x̃)` toward it and push that elastic
+    /// difference.
+    Eamsgd {
+        /// Moving rate `α`.
+        alpha: f32,
+        /// Local momentum `δ`.
+        momentum: f32,
+    },
+}
+
+impl PsExchange {
+    /// EAMSGD with moving rate `moving_rate` (default `0.9/p`) and
+    /// momentum `momentum`.
+    ///
+    /// # Panics
+    /// Panics unless `0 ≤ momentum < 1` and `0 < α ≤ 1`.
+    pub fn eamsgd(p: usize, moving_rate: Option<f32>, momentum: f32) -> Self {
+        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
+        let alpha = moving_rate.unwrap_or(0.9 / p as f32);
+        assert!(alpha > 0.0 && alpha <= 1.0, "moving rate out of range");
+        PsExchange::Eamsgd { alpha, momentum }
+    }
+}
+
+/// Everything a parameter-server learner needs besides its client,
+/// model and data shard.
+pub struct PsRankSpec<'a> {
+    /// Full training set (rank 0 evaluates against it).
+    pub train_set: &'a Dataset,
+    /// Test set (rank 0 only).
+    pub test_set: &'a Dataset,
+    /// Shared training configuration.
+    pub cfg: &'a TrainConfig,
+    /// Learner count.
+    pub p: usize,
+    /// Local steps between exchanges.
+    pub t: usize,
+    /// History label.
+    pub label: String,
+    /// Downpour or EAMSGD.
+    pub exchange: PsExchange,
+    /// Scale each exchange's rate (`γ`, or `α`) by `1/(1+τ)`.
+    pub staleness_gamma: bool,
+}
+
+/// One asynchronous parameter-server learner (Downpour or EAMSGD) over
+/// any transport: pull `x0`, then `T` local steps and one exchange per
+/// round until this learner's share of `epochs·n` samples is consumed.
+/// Rank 0 records an epoch whenever its shard pass completes.
+///
+/// τ is *measured*: `exchanges` is shared by every learner of the run,
+/// and an exchange's τ is how many exchanges (any learner's, this one's
+/// included — `fetch_add` returns the pre-increment count) the server
+/// absorbed since this learner's last pull. Rank 0's observations land in
+/// [`History::staleness_series`].
+///
+/// A failed add or pull is [`EngineError::WireFailure`] naming this rank
+/// and the round (`0` for the initial pull), never a panic.
+pub fn run_ps_rank<T: Transport>(
+    client: &mut PsTransportClient<T>,
+    model: Model,
+    shard: &Shard,
+    spec: &PsRankSpec<'_>,
+    exchanges: &AtomicU64,
+) -> Result<History, EngineError> {
+    let rank = client.rank();
+    let cfg = spec.cfg;
+    let (p, n) = (spec.p, spec.train_set.len());
+    let target = (cfg.epochs * n).div_ceil(p);
+    let failure = |round: u64, e: PsTransportError| EngineError::WireFailure {
+        rank,
+        round,
+        detail: e.to_string(),
+    };
+    let mut learner = Learner::new(rank, model, cfg);
+    let x0 = client.pull().map_err(|e| failure(0, e))?;
+    learner.model.write_params(&x0);
+    let mut seen = exchanges.load(Ordering::SeqCst);
+    let mut velocity = match spec.exchange {
+        PsExchange::Eamsgd { .. } => vec![0.0f32; x0.len()],
+        PsExchange::Downpour => Vec::new(),
+    };
+    let evals = (rank == 0).then(|| EvalSets::prepare(spec.train_set, spec.test_set, cfg.eval_cap));
+    let mut history = History::new(spec.label.clone(), p, spec.t);
+    let mut stream = BatchStream::new(shard.indices().to_vec(), cfg.batch_size);
+    let mut samples = 0usize;
+    let mut compute_s = 0.0f64;
+    let mut comm_s = 0.0f64;
+    let mut recorded = 0u64;
+    let mut round = 0u64;
+    let mut staleness_obs: Vec<u64> = Vec::new();
+    while samples < target {
+        // Schedule γ by estimated collective progress.
+        let gamma_now = cfg.gamma_at(samples as f64 * p as f64 / n as f64);
+        let t0 = Instant::now();
+        for _ in 0..spec.t {
+            let idx = stream.next(&mut learner.rng);
+            samples += idx.len();
+            match spec.exchange {
+                PsExchange::Downpour => {
+                    learner.local_step(spec.train_set, &idx, gamma_now, 0.0, 1.0);
+                }
+                PsExchange::Eamsgd { momentum, .. } => {
+                    // One momentum-SGD step on the local replica — same
+                    // arithmetic as the simulated strategy.
+                    let (g, _) = learner.compute_gradient(spec.train_set, &idx);
+                    let mut params = learner.model.param_vector();
+                    for ((vi, pi), &gi) in velocity.iter_mut().zip(params.iter_mut()).zip(&g) {
+                        *vi = momentum * *vi - gamma_now * gi;
+                        *pi += *vi;
+                    }
+                    learner.model.write_params(&params);
+                }
+            }
+        }
+        compute_s += t0.elapsed().as_secs_f64();
+        let t1 = Instant::now();
+        round += 1;
+        let tau = exchanges.fetch_add(1, Ordering::SeqCst) - seen;
+        let scaled = |rate: f32| {
+            if spec.staleness_gamma {
+                rate / (1.0 + tau as f32) // lint:allow(float-cast)
+            } else {
+                rate
+            }
+        };
+        let rate = match spec.exchange {
+            PsExchange::Downpour => {
+                // The server applies the push whenever it lands relative
+                // to the other learners.
+                let gamma_eff = scaled(gamma_now);
+                let delta: Vec<f32> = learner.gs.iter().map(|g| -gamma_eff * g).collect();
+                client.add(&delta).map_err(|e| failure(round, e))?;
+                learner.gs.iter_mut().for_each(|g| *g = 0.0);
+                let fresh = client.pull().map_err(|e| failure(round, e))?;
+                seen = exchanges.load(Ordering::SeqCst);
+                learner.model.write_params(&fresh);
+                gamma_eff
+            }
+            PsExchange::Eamsgd { alpha, .. } => {
+                let alpha_eff = scaled(alpha);
+                let center = client.pull().map_err(|e| failure(round, e))?;
+                seen = exchanges.load(Ordering::SeqCst);
+                let mut params = learner.model.param_vector();
+                let mut diff = vec![0.0f32; params.len()];
+                for ((pi, &ci), di) in params.iter_mut().zip(&center).zip(diff.iter_mut()) {
+                    *di = alpha_eff * (*pi - ci);
+                    *pi -= *di;
+                }
+                learner.model.write_params(&params);
+                client.add(&diff).map_err(|e| failure(round, e))?;
+                alpha_eff
+            }
+        };
+        comm_s += t1.elapsed().as_secs_f64();
+        if let Some(ev) = &evals {
+            history.push_staleness(round - 1, 0, tau, rate);
+            staleness_obs.push(tau);
+            if stream.completed_passes() > recorded {
+                // One pass over rank 0's shard ≈ one epoch of collective
+                // progress.
+                recorded = stream.completed_passes();
+                let rec = ev.record(
+                    &mut learner.model,
+                    recorded as f64,
+                    compute_s,
+                    comm_s,
+                    (samples * p) as u64,
+                );
+                history.records.push(rec);
+            }
+        }
+    }
+    if let (Some(ev), true) = (&evals, history.records.is_empty()) {
+        let rec = ev.record(
+            &mut learner.model,
+            samples as f64 * p as f64 / n as f64,
+            compute_s,
+            comm_s,
+            (samples * p) as u64,
+        );
+        history.records.push(rec);
+    }
+    history.staleness = StalenessStats::from_observations(&staleness_obs);
+    history.final_params = Some(learner.model.param_vector());
+    Ok(history)
 }
 
 /// The wire counterpart of a collective strategy's sync — what one round's
@@ -643,7 +845,7 @@ fn allreduce_grads<T: Transport>(
 }
 
 /// Compress-with-error-feedback then allreduce over the scheme's wire
-/// form: plain sparse tree for [`Compression::TopK`], exact 8-bit leaf
+/// form: the unbounded sparse tree for [`Compression::TopK`], exact 8-bit leaf
 /// frames for [`Compression::Uniform8Bit`] (falling back to the dense
 /// tree for the all-zero gradient, which has no q8 scale), and the
 /// instrumented v2 sparse tree for [`Compression::Sparse`] — recording
@@ -669,8 +871,12 @@ fn compressed_allreduce<T: Transport>(
     history.push_sparsity(round, rank, c.k_eff, c.residual_norm as f32);
     let total = match comp {
         Compression::TopK { .. } => {
+            // Unbounded tree: bitwise the exact sum, empty spill, and the
+            // profile is not part of TopK's telemetry.
             let mut sv = SparseVec::from_dense(&c.dense);
-            sparse_allreduce_tree(comm, &mut sv).map_err(|e| wire_failure(rank, round, e))?;
+            let mut profile = SparseLevelProfile::default();
+            sparse_allreduce_tree_v2(comm, &mut sv, SparseTreeOpts::default(), &mut profile)
+                .map_err(|e| wire_failure(rank, round, e))?;
             sv.to_dense()
         }
         Compression::Uniform8Bit => {

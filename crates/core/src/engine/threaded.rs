@@ -1,14 +1,14 @@
 //! The threaded backend: every algorithm on real OS threads.
 //!
 //! One thread per learner over the `sasgd-comm` substrate — collectives
-//! for the synchronous strategies, a real [`PsServer`] for the
-//! asynchronous ones. Batch orders, dropout streams and aggregation
-//! arithmetic mirror the simulated backend (the simulated aggregation sums
-//! in the same binomial-tree order the collective uses), so the
-//! synchronous strategies produce *identical parameters* at any `p`; the
-//! asynchronous strategies match at `p = 1` and are intentionally
-//! schedule-dependent beyond that (that is the point of running them on a
-//! real substrate).
+//! for the synchronous strategies, parameter-server shard threads
+//! ([`sasgd_comm::ps_transport`]) for the asynchronous ones. Batch orders,
+//! dropout streams and aggregation arithmetic mirror the simulated
+//! backend (the simulated aggregation sums in the same binomial-tree
+//! order the collective uses), so the synchronous strategies produce
+//! *identical parameters* at any `p`; the asynchronous strategies match
+//! at `p = 1` and are intentionally schedule-dependent beyond that (that
+//! is the point of running them on a real substrate).
 //!
 //! Unlike the simulated backend's analytic wire accounting, [`History::wire`]
 //! here is filled from the substrate's traffic counters — with
@@ -16,16 +16,18 @@
 //! ([`sasgd_comm::sparse`]), so the counters record genuinely fewer
 //! elements, not a model of fewer elements.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use sasgd_comm::fault::FaultPlan;
-use sasgd_comm::ps::{PsConfig, PsServer};
+use sasgd_comm::ps_transport::{run_inproc, PsLayout};
 use sasgd_comm::world::CommWorld;
 use sasgd_data::{make_shards, Dataset};
 use sasgd_nn::Model;
 
 use super::rank::{
-    run_event_rank, run_sasgd_ft_rank, run_sasgd_rank, EventOp, EventRankSpec, SasgdRankSpec,
+    run_event_rank, run_ps_rank, run_sasgd_ft_rank, run_sasgd_rank, EventOp, EventRankSpec,
+    PsExchange, PsRankSpec, SasgdRankSpec,
 };
 use super::{event_gamma_epoch, strategy_for, BatchStream, Cadence, EngineError};
 use crate::algorithms::{Algorithm, GammaP};
@@ -65,11 +67,8 @@ pub(crate) fn join_learners<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>
     ok
 }
 
-/// Run `algo` on the threaded backend under the resolved `cadence`. The
-/// collective runners propagate typed wire failures
-/// ([`EngineError::WireFailure`]); the parameter-server runners go through
-/// in-process channels whose failures are programming errors, not
-/// recoverable conditions.
+/// Run `algo` on the threaded backend under the resolved `cadence`. Every
+/// runner propagates typed wire failures ([`EngineError::WireFailure`]).
 ///
 /// Lockstep routes to the bulk-synchronous runners; the parameter-server
 /// strategies have no bulk-synchronous runner on real threads, so forcing
@@ -147,12 +146,12 @@ fn run_event(
     algo: &Algorithm,
     cfg: &TrainConfig,
 ) -> Result<History, EngineError> {
-    Ok(match *algo {
+    match *algo {
         Algorithm::Downpour {
             p,
             t,
             staleness_gamma,
-        } => crate::threaded::run_threaded_downpour(
+        } => run_async_ps(
             factory,
             train_set,
             test_set,
@@ -160,6 +159,7 @@ fn run_event(
             p,
             t,
             p,
+            PsExchange::Downpour,
             staleness_gamma,
         ),
         Algorithm::Eamsgd {
@@ -168,19 +168,19 @@ fn run_event(
             moving_rate,
             momentum,
             staleness_gamma,
-        } => run_threaded_eamsgd(
+        } => run_async_ps(
             factory,
             train_set,
             test_set,
             cfg,
             p,
             t,
-            moving_rate,
-            momentum,
+            1,
+            PsExchange::eamsgd(p, moving_rate, momentum),
             staleness_gamma,
         ),
-        _ => return run_event_collective(factory, train_set, test_set, algo, cfg),
-    })
+        _ => run_event_collective(factory, train_set, test_set, algo, cfg),
+    }
 }
 
 /// `"SASGD(p=4,T=2)"` → `"SASGD-threaded(p=4,T=2)"` — the backend suffix
@@ -742,16 +742,16 @@ pub fn run_threaded_sequential(
     history
 }
 
-/// EAMSGD with one OS thread per learner against a real parameter server
-/// holding the center variable. As with threaded Downpour, the
+/// EAMSGD with one OS thread per learner against a one-shard parameter
+/// server holding the center variable. As with threaded Downpour, the
 /// interleaving beyond `p = 1` is decided by the OS scheduler — genuinely
-/// asynchronous, not reproducible across executions.
+/// asynchronous, not reproducible across executions. With
+/// `staleness_gamma` each elastic exchange scales its moving rate by
+/// `1/(1+τ)` for the *measured* τ (see [`run_ps_rank`]).
 ///
-/// With `staleness_gamma` each elastic exchange scales its moving rate by
-/// `1/(1+τ)` where τ is the *measured* number of foreign exchanges the
-/// center absorbed between this learner's pull and its own previous
-/// exchange — counted by a shared atomic. Rank 0's observations land in
-/// [`History::staleness_series`](crate::history::History::staleness_series).
+/// # Panics
+/// Panics on a wire failure; [`Executor::try_run`](super::Executor::try_run)
+/// returns it as [`EngineError::WireFailure`].
 #[allow(clippy::too_many_arguments)] // mirrors the Eamsgd variant's fields
 pub fn run_threaded_eamsgd(
     factory: &(dyn Fn() -> Model + Sync),
@@ -764,144 +764,92 @@ pub fn run_threaded_eamsgd(
     momentum: f32,
     staleness_gamma: bool,
 ) -> History {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    assert!(p >= 1 && t >= 1);
-    assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-    let alpha = moving_rate.unwrap_or(0.9 / p as f32);
-    assert!(alpha > 0.0 && alpha <= 1.0, "moving rate out of range");
-    sasgd_tensor::parallel::auto_configure_for_learners(p);
-    let probe = factory();
-    let m = probe.param_len();
-    let ps = PsServer::spawn(probe.param_vector(), PsConfig { shards: 1 });
-    let n = train_set.len();
-    let target_per_learner = (cfg.epochs * n).div_ceil(p);
-    let data_shards = make_shards(train_set, p, cfg.shard_strategy);
-    // Counts elastic exchanges against the center — the τ source when
-    // staleness-aware scaling is on.
-    let exchange_counter = AtomicU64::new(0);
-    let label = if staleness_gamma {
-        format!("EAMSGD-s\u{3b3}-threaded(p={p},T={t})")
-    } else {
-        format!("EAMSGD-threaded(p={p},T={t})")
-    };
-    let mut rank0_history: Option<History> = None;
+    let exchange = PsExchange::eamsgd(p, moving_rate, momentum);
+    run_async_ps(
+        factory,
+        train_set,
+        test_set,
+        cfg,
+        p,
+        t,
+        1,
+        exchange,
+        staleness_gamma,
+    )
+    .unwrap_or_else(|e| panic!("threaded EAMSGD(p={p},T={t}): {e}"))
+}
 
-    std::thread::scope(|scope| {
-        let exchange_counter = &exchange_counter;
-        let mut handles = Vec::new();
-        for (rank, data_shard) in data_shards.iter().enumerate() {
-            let client = ps.client();
-            let label = label.clone();
-            let handle = scope.spawn(move || {
-                let mut learner = Learner::new(rank, factory(), cfg);
-                learner.model.write_params(&client.pull());
-                let mut seen = exchange_counter.load(Ordering::SeqCst);
-                let mut velocity = vec![0.0f32; m];
-                let evals = if rank == 0 {
-                    Some(EvalSets::prepare(train_set, test_set, cfg.eval_cap))
-                } else {
-                    None
-                };
-                let mut history = History::new(label, p, t);
-                let mut stream = BatchStream::new(data_shard.indices().to_vec(), cfg.batch_size);
-                let mut samples = 0usize;
-                let mut compute_s = 0.0f64;
-                let mut comm_s = 0.0f64;
-                let mut recorded = 0u64;
-                let mut exchanges = 0u64;
-                let mut staleness_obs: Vec<u64> = Vec::new();
-                while samples < target_per_learner {
-                    let gamma_now = cfg.gamma_at(samples as f64 * p as f64 / n as f64);
-                    let t0 = Instant::now();
-                    for _ in 0..t {
-                        let idx = stream.next(&mut learner.rng);
-                        samples += idx.len();
-                        // One momentum-SGD step on the local replica — same
-                        // arithmetic as the simulated strategy.
-                        let (g, _) = learner.compute_gradient(train_set, &idx);
-                        let mut params = learner.model.param_vector();
-                        for ((vi, pi), &gi) in velocity.iter_mut().zip(params.iter_mut()).zip(&g) {
-                            *vi = momentum * *vi - gamma_now * gi;
-                            *pi += *vi;
-                        }
-                        learner.model.write_params(&params);
-                    }
-                    compute_s += t0.elapsed().as_secs_f64();
-                    let t1 = Instant::now();
-                    // Elastic exchange: pull x̃, retreat toward it, push the
-                    // elastic difference (the server adds it to x̃).
-                    let tau = exchange_counter.fetch_add(1, Ordering::SeqCst) - seen;
-                    let alpha_eff = if staleness_gamma {
-                        alpha / (1.0 + tau as f32) // lint:allow(float-cast)
-                    } else {
-                        alpha
-                    };
-                    let center = client.pull();
-                    seen = exchange_counter.load(Ordering::SeqCst);
-                    let mut params = learner.model.param_vector();
-                    let mut diff = vec![0.0f32; m];
-                    for ((pi, &ci), di) in params.iter_mut().zip(&center).zip(diff.iter_mut()) {
-                        *di = alpha_eff * (*pi - ci);
-                        *pi -= *di;
-                    }
-                    learner.model.write_params(&params);
-                    client.add(&diff);
-                    comm_s += t1.elapsed().as_secs_f64();
-                    if rank == 0 {
-                        history.push_staleness(exchanges, 0, tau, alpha_eff);
-                        staleness_obs.push(tau);
-                    }
-                    exchanges += 1;
-                    if rank == 0 && stream.completed_passes() > recorded {
-                        recorded = stream.completed_passes();
-                        if let Some(ev) = &evals {
-                            let rec = ev.record(
-                                &mut learner.model,
-                                recorded as f64,
-                                compute_s,
-                                comm_s,
-                                (samples * p) as u64,
-                            );
-                            history.records.push(rec);
-                        }
-                    }
-                }
-                if rank == 0 && history.records.is_empty() {
-                    if let Some(ev) = &evals {
-                        let rec = ev.record(
-                            &mut learner.model,
-                            samples as f64 * p as f64 / n as f64,
-                            compute_s,
-                            comm_s,
-                            (samples * p) as u64,
-                        );
-                        history.records.push(rec);
-                    }
-                }
-                history.staleness =
-                    crate::history::StalenessStats::from_observations(&staleness_obs);
-                history.final_params = Some(learner.model.param_vector());
-                (rank, history)
-            });
-            handles.push(handle);
-        }
-        for (rank, history) in join_learners(handles) {
-            if rank == 0 {
-                rank0_history = Some(history);
-            }
-        }
-    });
-    let mut history = rank0_history.expect("rank 0 history");
-    history.sync_rounds = exchange_counter.load(std::sync::atomic::Ordering::SeqCst);
-    let t = ps.traffic();
-    let elements = t.pushed.load(std::sync::atomic::Ordering::Relaxed)
-        + t.pulled.load(std::sync::atomic::Ordering::Relaxed);
+/// Downpour or EAMSGD on real threads: `p` learner threads running
+/// [`run_ps_rank`] against `shards` parameter-server shard threads
+/// ([`sasgd_comm::ps_transport::serve_shard`]) over one in-process world
+/// of `p + shards` ranks. Returns rank 0's history, with
+/// [`History::sync_rounds`] counting every learner's exchanges and
+/// [`History::wire`] the world's traffic counters — every PS frame,
+/// control words (frame kinds, pull sequence numbers) included.
+#[allow(clippy::too_many_arguments)] // mirrors the algorithm's parameter set
+pub(crate) fn run_async_ps(
+    factory: &(dyn Fn() -> Model + Sync),
+    train_set: &Dataset,
+    test_set: &Dataset,
+    cfg: &TrainConfig,
+    p: usize,
+    t: usize,
+    shards: usize,
+    exchange: PsExchange,
+    staleness_gamma: bool,
+) -> Result<History, EngineError> {
+    assert!(p >= 1 && t >= 1 && shards >= 1);
+    sasgd_tensor::parallel::auto_configure_for_learners(p);
+    let initial = factory().param_vector();
+    let layout = PsLayout {
+        p,
+        shards,
+        dim: initial.len(),
+    };
+    let data_shards = make_shards(train_set, p, cfg.shard_strategy);
+    let name = match exchange {
+        PsExchange::Downpour => "Downpour",
+        PsExchange::Eamsgd { .. } => "EAMSGD",
+    };
+    let staleness = if staleness_gamma { "-s\u{3b3}" } else { "" };
+    let spec = PsRankSpec {
+        train_set,
+        test_set,
+        cfg,
+        p,
+        t,
+        label: format!("{name}{staleness}-threaded(p={p},T={t})"),
+        exchange,
+        staleness_gamma,
+    };
+    let exchanges = AtomicU64::new(0);
+    let run = run_inproc(layout, &initial, |mut client| {
+        let rank = client.rank();
+        run_ps_rank(
+            &mut client,
+            factory(),
+            &data_shards[rank],
+            &spec,
+            &exchanges,
+        )
+    })
+    .map_err(|(shard, e)| EngineError::WireFailure {
+        rank: shard,
+        round: 0,
+        detail: e.to_string(),
+    })?;
+    // Lowest-rank failure wins, as in the collective runners.
+    let mut learners = run.learners.into_iter();
+    let mut history = learners.next().expect("rank 0 result")?;
+    if let Some(e) = learners.find_map(Result::err) {
+        return Err(e);
+    }
+    history.sync_rounds = exchanges.load(Ordering::SeqCst);
     history.wire = Some(WireStats {
-        elements,
-        messages: elements / m as u64,
+        elements: run.traffic.elements_sent(),
+        messages: run.traffic.messages_sent(),
     });
-    ps.shutdown();
-    history
+    Ok(history)
 }
 
 /// One-shot model averaging with one OS thread per learner: independent
@@ -1093,6 +1041,48 @@ mod tests {
             h.final_test_acc()
         );
         assert!(h.wire.expect("wire").elements > 0);
+    }
+
+    #[test]
+    fn dead_shard_is_a_wire_failure_not_a_panic() {
+        // The shard endpoint is dropped before it serves anything: the
+        // learner's initial pull must come back as a typed error.
+        let (train, test) = generate(&CifarLikeConfig::tiny(48, 16, 2));
+        let cfg = TrainConfig::new(1, 8, 0.05, 3);
+        let model = models::tiny_cnn(2, &mut SeedRng::new(5));
+        let layout = PsLayout {
+            p: 1,
+            shards: 1,
+            dim: model.param_len(),
+        };
+        let mut world = sasgd_comm::mock_world(2);
+        drop(world.pop());
+        let learner = world.pop().expect("learner endpoint");
+        let mut client = sasgd_comm::PsTransportClient::new(learner, layout);
+        let spec = PsRankSpec {
+            train_set: &train,
+            test_set: &test,
+            cfg: &cfg,
+            p: 1,
+            t: 1,
+            label: "downpour".to_string(),
+            exchange: PsExchange::Downpour,
+            staleness_gamma: false,
+        };
+        let shard = &make_shards(&train, 1, cfg.shard_strategy)[0];
+        let err = run_ps_rank(&mut client, model, shard, &spec, &AtomicU64::new(0))
+            .expect_err("a dead shard cannot serve");
+        assert!(
+            matches!(
+                err,
+                EngineError::WireFailure {
+                    rank: 0,
+                    round: 0,
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

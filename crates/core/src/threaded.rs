@@ -8,31 +8,17 @@
 //! in the workspace root asserts it. This is the backend the Criterion
 //! benches drive for real-parallelism measurements.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use sasgd_comm::collectives::{allreduce_tree, broadcast};
 use sasgd_comm::fault::FaultPlan;
-use sasgd_comm::ps::{PsConfig, PsServer};
 use sasgd_data::{make_shards, Dataset};
 use sasgd_nn::Model;
 
 use crate::algorithms::GammaP;
 use crate::engine::threaded::join_learners;
-use crate::engine::BatchStream;
 use crate::history::History;
 use crate::trainer::{EvalSets, Learner, TrainConfig};
-
-/// Parameter-server fetch deadline for the threaded asynchronous backends.
-/// Generous — a healthy in-process server answers in microseconds; the
-/// deadline only converts a dead or wedged shard from an eternal hang into
-/// a typed failure.
-const PS_PULL_DEADLINE: Duration = Duration::from_secs(5);
-/// Bounded retries for a timed-out pull (each attempt backs off twice as
-/// long as the previous one, starting at [`PS_PULL_BACKOFF`]).
-const PS_PULL_RETRIES: usize = 3;
-/// Initial retry backoff for a timed-out pull.
-const PS_PULL_BACKOFF: Duration = Duration::from_millis(20);
 
 /// Fault-injection configuration for [`run_threaded_sasgd_ft`].
 #[derive(Clone, Debug)]
@@ -149,19 +135,23 @@ pub fn try_run_threaded_sasgd_ft(
     )
 }
 
-/// Run Downpour with one OS thread per learner against a real sharded
-/// [`PsServer`]. Unlike the simulated backend, the interleaving here is
-/// decided by the OS scheduler — runs are *not* reproducible across
-/// executions (that is the point: it demonstrates genuine asynchrony on
-/// the same substrate Downpour was defined for). Returns learner 0's
-/// history.
+/// Run Downpour with one OS thread per learner against `shards`
+/// parameter-server shard threads. Unlike the simulated backend, the
+/// interleaving here is decided by the OS scheduler — runs are *not*
+/// reproducible across executions (that is the point: it demonstrates
+/// genuine asynchrony on the same substrate Downpour was defined for).
+/// Returns learner 0's history.
 ///
 /// With `staleness_gamma` each push is scaled by `γ/(1+τ)` where τ is the
-/// *measured* number of foreign pushes the server applied between this
-/// learner's last pull and its push — counted by a shared atomic, so the
-/// scaling reflects the real interleaving, not a model of it. Rank 0's
-/// per-push τ observations land in
+/// *measured* number of pushes the server applied between this learner's
+/// last pull and its push — counted by a shared atomic, so the scaling
+/// reflects the real interleaving, not a model of it. Rank 0's per-push τ
+/// observations land in
 /// [`History::staleness_series`](crate::history::History::staleness_series).
+///
+/// # Panics
+/// Panics on a wire failure; [`Executor::try_run`](crate::Executor::try_run)
+/// returns it as [`EngineError::WireFailure`](crate::EngineError).
 #[allow(clippy::too_many_arguments)] // mirrors the Downpour variant's fields
 pub fn run_threaded_downpour(
     factory: &(dyn Fn() -> Model + Sync),
@@ -173,139 +163,18 @@ pub fn run_threaded_downpour(
     shards: usize,
     staleness_gamma: bool,
 ) -> History {
-    assert!(p >= 1 && t >= 1 && shards >= 1);
-    sasgd_tensor::parallel::auto_configure_for_learners(p);
-    let probe = factory();
-    let ps = PsServer::spawn(probe.param_vector(), PsConfig { shards });
-    let n = train_set.len();
-    let target_per_learner = (cfg.epochs * n).div_ceil(p);
-    let data_shards = make_shards(train_set, p, cfg.shard_strategy);
-    // Global push counter: τ for a push is how many pushes (from any
-    // learner, this one included — fetch_add returns the pre-increment
-    // count) landed since this learner's last pull.
-    let push_counter = AtomicU64::new(0);
-    let label = if staleness_gamma {
-        format!("Downpour-s\u{3b3}-threaded(p={p},T={t})")
-    } else {
-        format!("Downpour-threaded(p={p},T={t})")
-    };
-    let mut rank0_history: Option<History> = None;
-
-    std::thread::scope(|scope| {
-        let push_counter = &push_counter;
-        let mut handles = Vec::new();
-        for (rank, data_shard) in data_shards.iter().enumerate() {
-            let client = ps.client();
-            let label = label.clone();
-            let handle = scope.spawn(move || {
-                let mut learner = Learner::new(rank, factory(), cfg);
-                let x0 = client
-                    .pull_timeout(PS_PULL_DEADLINE, PS_PULL_RETRIES, PS_PULL_BACKOFF)
-                    .expect("initial parameter pull");
-                learner.model.write_params(&x0);
-                let mut seen = push_counter.load(Ordering::SeqCst);
-                let evals = if rank == 0 {
-                    Some(EvalSets::prepare(train_set, test_set, cfg.eval_cap))
-                } else {
-                    None
-                };
-                let mut history = History::new(label, p, t);
-                let mut stream = BatchStream::new(data_shard.indices().to_vec(), cfg.batch_size);
-                let mut samples = 0usize;
-                let mut compute_s = 0.0f64;
-                let mut comm_s = 0.0f64;
-                let mut recorded = 0u64;
-                let mut pushes = 0u64;
-                let mut staleness_obs: Vec<u64> = Vec::new();
-                while samples < target_per_learner {
-                    // Schedule γ by estimated collective progress.
-                    let gamma_now = cfg.gamma_at(samples as f64 * p as f64 / n as f64);
-                    let t0 = Instant::now();
-                    for _ in 0..t {
-                        let idx = stream.next(&mut learner.rng);
-                        samples += idx.len();
-                        learner.local_step(train_set, &idx, gamma_now, 0.0, 1.0);
-                    }
-                    compute_s += t0.elapsed().as_secs_f64();
-                    let t1 = Instant::now();
-                    // Push the accumulated gradient; the server applies it
-                    // whenever it lands relative to the other learners.
-                    let tau = push_counter.fetch_add(1, Ordering::SeqCst) - seen;
-                    let gamma_eff = if staleness_gamma {
-                        gamma_now / (1.0 + tau as f32) // lint:allow(float-cast)
-                    } else {
-                        gamma_now
-                    };
-                    client
-                        .try_push_gradient(gamma_eff, &learner.gs)
-                        .expect("gradient push");
-                    learner.gs.iter_mut().for_each(|g| *g = 0.0);
-                    if rank == 0 {
-                        history.push_staleness(pushes, 0, tau, gamma_eff);
-                        staleness_obs.push(tau);
-                    }
-                    pushes += 1;
-                    // Deadline-bounded fetch: a dead shard surfaces as a
-                    // typed error naming the shard, not an eternal hang.
-                    let fresh = client
-                        .pull_timeout(PS_PULL_DEADLINE, PS_PULL_RETRIES, PS_PULL_BACKOFF)
-                        .expect("parameter pull");
-                    seen = push_counter.load(Ordering::SeqCst);
-                    learner.model.write_params(&fresh);
-                    comm_s += t1.elapsed().as_secs_f64();
-                    if rank == 0 && stream.completed_passes() > recorded {
-                        recorded = stream.completed_passes();
-                        if let Some(ev) = &evals {
-                            // One pass over rank 0's shard ≈ one epoch of
-                            // collective progress.
-                            let rec = ev.record(
-                                &mut learner.model,
-                                recorded as f64,
-                                compute_s,
-                                comm_s,
-                                (samples * p) as u64,
-                            );
-                            history.records.push(rec);
-                        }
-                    }
-                }
-                if rank == 0 && history.records.is_empty() {
-                    if let Some(ev) = &evals {
-                        let rec = ev.record(
-                            &mut learner.model,
-                            samples as f64 * p as f64 / n as f64,
-                            compute_s,
-                            comm_s,
-                            (samples * p) as u64,
-                        );
-                        history.records.push(rec);
-                    }
-                }
-                history.staleness =
-                    crate::history::StalenessStats::from_observations(&staleness_obs);
-                history.final_params = Some(learner.model.param_vector());
-                (rank, history)
-            });
-            handles.push(handle);
-        }
-        for (rank, history) in join_learners(handles) {
-            if rank == 0 {
-                rank0_history = Some(history);
-            }
-        }
-    });
-    let mut history = rank0_history.expect("rank 0 history");
-    history.sync_rounds = push_counter.load(Ordering::SeqCst);
-    let m = probe.param_len();
-    let traffic = ps.traffic();
-    let elements = traffic.pushed.load(std::sync::atomic::Ordering::Relaxed)
-        + traffic.pulled.load(std::sync::atomic::Ordering::Relaxed);
-    history.wire = Some(crate::history::WireStats {
-        elements,
-        messages: elements / m as u64,
-    });
-    ps.shutdown();
-    history
+    crate::engine::threaded::run_async_ps(
+        factory,
+        train_set,
+        test_set,
+        cfg,
+        p,
+        t,
+        shards,
+        crate::engine::rank::PsExchange::Downpour,
+        staleness_gamma,
+    )
+    .unwrap_or_else(|e| panic!("threaded Downpour(p={p},T={t}): {e}"))
 }
 
 /// Run hierarchical SASGD over real OS threads using the grouped

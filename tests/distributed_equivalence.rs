@@ -50,6 +50,12 @@ fn threaded_equals_simulated_sasgd_bitwise() {
                 "p={p} T={t}: train accuracy diverged"
             );
         }
+        // Both backends count the same aggregation rounds.
+        assert!(h_sim.sync_rounds > 0, "p={p} T={t}: no sync rounds counted");
+        assert_eq!(
+            h_thread.sync_rounds, h_sim.sync_rounds,
+            "p={p} T={t}: sync round counts diverged"
+        );
         // Parameter-for-parameter, not just trajectory-for-trajectory:
         // the final flat parameter vectors must be bitwise equal. With
         // `--features parallel` this pins the determinism contract of the

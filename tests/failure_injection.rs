@@ -1,7 +1,7 @@
 //! Failure-injection and robustness tests: extreme jitter, degenerate
 //! datasets, hammered parameter servers.
 
-use sasgd::comm::ps::{PsConfig, PsServer};
+use sasgd::comm::ps_transport::{run_inproc, PsLayout};
 use sasgd::core::algorithms::GammaP;
 use sasgd::core::{
     run_threaded_sasgd, run_threaded_sasgd_ft, train, Algorithm, FaultConfig, FaultPlan,
@@ -12,7 +12,6 @@ use sasgd::data::Dataset;
 use sasgd::nn::models;
 use sasgd::simnet::JitterModel;
 use sasgd::tensor::SeedRng;
-use std::thread;
 use std::time::Duration;
 
 #[test]
@@ -104,23 +103,23 @@ fn single_class_dataset_trains_to_perfection() {
 
 #[test]
 fn ps_survives_hammering_and_preserves_sums() {
-    // 16 clients × 50 pushes of +1 on every coordinate: additions commute,
+    // 16 learners × 50 adds of +1 on every coordinate: additions commute,
     // so the final state is exact regardless of interleaving or sharding.
     for shards in [1usize, 3, 8] {
         let m = 257; // deliberately not divisible by the shard counts
-        let ps = PsServer::spawn(vec![0.0f32; m], PsConfig { shards });
-        thread::scope(|s| {
-            for _ in 0..16 {
-                let c = ps.client();
-                s.spawn(move || {
-                    for _ in 0..50 {
-                        c.add(&vec![1.0; m]);
-                    }
-                });
+        let layout = PsLayout {
+            p: 16,
+            shards,
+            dim: m,
+        };
+        let run = run_inproc(layout, &vec![0.0f32; m], |mut client| {
+            for _ in 0..50 {
+                client.add(&vec![1.0; m]).expect("add");
             }
-        });
-        let end = ps.shutdown();
-        assert!(end.iter().all(|&v| v == 800.0), "shards={shards}");
+            client.finish().expect("finish");
+        })
+        .expect("shards serve");
+        assert!(run.params.iter().all(|&v| v == 800.0), "shards={shards}");
     }
 }
 

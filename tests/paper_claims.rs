@@ -3,12 +3,11 @@
 //! measurements on the thread substrate.
 
 use sasgd::comm::collectives::allreduce_tree;
-use sasgd::comm::ps::{PsConfig, PsServer};
+use sasgd::comm::ps_transport::{run_inproc, PsLayout};
 use sasgd::comm::world::CommWorld;
 use sasgd::core::epoch_time::{epoch_time, speedup_over_sequential, Aggregation, Workload};
 use sasgd::core::theory::{self, ProblemConstants};
 use sasgd::simnet::{CostModel, JitterModel};
-use std::sync::atomic::Ordering;
 use std::thread;
 
 #[test]
@@ -32,21 +31,23 @@ fn claim_communication_complexity_measured_on_real_substrate() {
         });
         assert_eq!(traffic.elements_sent(), (2 * (p - 1) * m) as u64);
 
-        // Parameter server: p learners push + pull ⇒ 2·p·m elements.
-        let ps = PsServer::spawn(vec![0.0f32; m], PsConfig { shards: 2 });
-        let t = ps.traffic();
-        thread::scope(|s| {
-            for _ in 0..p {
-                let c = ps.client();
-                s.spawn(move || {
-                    c.push_gradient(0.1, &vec![1.0f32; m]);
-                    let _ = c.pull();
-                });
-            }
-        });
-        let ps_total = t.pushed.load(Ordering::Relaxed) + t.pulled.load(Ordering::Relaxed);
-        assert_eq!(ps_total, (2 * p * m) as u64);
-        ps.shutdown();
+        // Parameter server: p learners push + pull ⇒ 2·p·m payload
+        // elements, plus per shard and learner the control words: one
+        // kind word on the add, a kind + sequence word on the pull
+        // request, and the one-word done frame.
+        let shards = 2usize;
+        let layout = PsLayout { p, shards, dim: m };
+        let run = run_inproc(layout, &vec![0.0f32; m], |mut client| {
+            client.add(&vec![-0.1f32; m]).expect("push");
+            client.pull().expect("pull");
+            client.finish().expect("finish");
+        })
+        .expect("shards serve");
+        assert_eq!(
+            run.traffic.elements_sent(),
+            (2 * p * m + 4 * p * shards) as u64
+        );
+        assert_eq!(run.traffic.messages_sent(), (4 * p * shards) as u64);
     }
 }
 
