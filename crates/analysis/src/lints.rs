@@ -76,7 +76,6 @@ const UNSAFE_ALLOWED_FILES: &[&str] = &[
 /// Wall-clock reads are the threaded backend's business (plus everything
 /// under `bench`, which measures real time by definition).
 const WALL_CLOCK_ALLOWED: &[&str] = &[
-    "crates/core/src/threaded.rs",
     "crates/core/src/engine/threaded.rs",
     // The per-rank loop the threaded backend and the multi-process
     // launcher share: its compute/comm stopwatches are the threaded
@@ -106,7 +105,6 @@ const WALL_CLOCK_ALLOWED: &[&str] = &[
 /// model checker itself (it hosts rank threads).
 const SPAWN_ALLOWED: &[&str] = &[
     "crates/comm/",
-    "crates/core/src/threaded.rs",
     "crates/core/src/engine/threaded.rs",
     "crates/analysis/",
 ];
@@ -1002,7 +1000,7 @@ mod tests {
             lints_of("crates/core/src/engine/simulated.rs", src),
             vec!["wall-clock"]
         );
-        assert!(lints_of("crates/core/src/threaded.rs", src).is_empty());
+        assert!(lints_of("crates/core/src/engine/threaded.rs", src).is_empty());
         assert!(lints_of("crates/bench/src/kernels.rs", src).is_empty());
         // The transport impls and the shared per-rank loop carry recv
         // deadlines / comm stopwatches — sanctioned alongside world.rs.
@@ -1182,7 +1180,7 @@ mod tests {
         let src = "use std::time::Instant;\n\
                    fn stopwatch() -> f64 { Instant::now().elapsed().as_secs_f64() }\n\
                    pub fn step() { let _ = stopwatch(); }\n";
-        assert!(call_taint_single("crates/core/src/threaded.rs", src).is_empty());
+        assert!(call_taint_single("crates/core/src/engine/threaded.rs", src).is_empty());
         // An allowed call site is suppressed.
         let allowed = "use std::time::Instant;\n\
                        fn seed() -> u64 { Instant::now().elapsed().subsec_nanos() as u64 }\n\

@@ -87,3 +87,21 @@ fn shipped_collectives_are_clean_and_dpor_prunes() {
         assert!(r.pruned > 0, "{name}: DPOR pruned nothing: {r:?}");
     }
 }
+
+/// The collective loop's point-to-point exchanges — lockstep one-shot
+/// averaging's rank-order gather and the hierarchical exchange over
+/// subgroup views — are clean and fit the exhaustive budget.
+#[test]
+fn collective_loop_exchanges_are_exhaustively_clean() {
+    let corpus = model_scenarios();
+    for name in ["engine_modelavg_gather", "engine_hierarchical_2x2"] {
+        let sc = corpus
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("{name} missing from corpus"));
+        let r = explore_exhaustive(sc);
+        println!("{name}: explored {} pruned {}", r.explored, r.pruned);
+        assert!(r.ok(), "{name}: {r:?}");
+        assert!(r.exhausted, "{name}: {r:?}");
+    }
+}

@@ -77,6 +77,7 @@ fn run(w: &crate::scale::ConvergenceWorkload, cfg: &TrainConfig, faults: &FaultC
         GammaP::OverP,
         faults,
     )
+    .unwrap_or_else(|e| panic!("threaded SASGD-ft(p={P},T={T}) could not degrade: {e}"))
 }
 
 fn summarize(

@@ -5,8 +5,10 @@
 //! loopback TCP mesh via [`SocketTransport`] and runs the *same* per-rank
 //! loop ([`run_sasgd_rank`]) the threaded backend drives over in-process
 //! channels. Rank 0's child writes its `final_params` to a file; the
-//! parent replays the identical workload in-process with
-//! [`run_threaded_sasgd`] and compares the two parameter vectors **bitwise**.
+//! parent replays the identical workload in-process on the threaded
+//! [`Executor`] — where SASGD runs that loop as the lockstep-gradient case
+//! of the shared collective rank loop — and compares the two parameter
+//! vectors **bitwise**.
 //!
 //! Rendezvous is race-free: the parent discovers `p` free loopback ports by
 //! binding (then dropping) port-0 listeners and passes the concrete port
@@ -28,7 +30,9 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use sasgd_comm::{loopback_addrs, SocketTransport};
-use sasgd_core::{run_sasgd_rank, run_threaded_sasgd, GammaP, SasgdRankSpec, TrainConfig};
+use sasgd_core::{
+    run_sasgd_rank, Algorithm, Backend, Executor, GammaP, SasgdRankSpec, TrainConfig,
+};
 use sasgd_data::cifar_like::{generate, CifarLikeConfig};
 use sasgd_data::{make_shards, Dataset};
 use sasgd_nn::{models, Model};
@@ -333,15 +337,13 @@ pub fn run_launch(exe: &Path, scratch: &Path) -> LaunchOutcome {
 
     // In-process reference on the identical workload.
     let (train, test, cfg) = workload();
-    let reference = run_threaded_sasgd(
-        &|| model(),
-        &train,
-        &test,
-        &cfg,
-        WORLD,
-        AGG_T,
-        GammaP::OverP,
-    );
+    let algo = Algorithm::Sasgd {
+        p: WORLD,
+        t: AGG_T,
+        gamma_p: GammaP::OverP,
+        compression: None,
+    };
+    let reference = Executor::new(Backend::Threaded).run(&|| model(), &train, &test, &algo, &cfg);
     let ref_params = reference
         .final_params
         .expect("in-process threaded run always records final_params");

@@ -434,9 +434,9 @@ impl Communicator {
         op
     }
 
-    /// Shared traffic counters.
-    pub fn traffic(&self) -> &Traffic {
-        &self.traffic
+    /// Shared traffic counters of this endpoint's world.
+    pub fn traffic(&self) -> Arc<Traffic> {
+        Arc::clone(&self.traffic)
     }
 }
 

@@ -53,10 +53,10 @@ impl AggregationStrategy for AveragingStrategy {
         0.0
     }
 
-    fn gamma_epoch(&self, epoch: usize, _step: usize, _steps: usize) -> f64 {
+    fn epoch_start_gamma(&self) -> bool {
         // Independent learners use the epoch-start rate for the whole
         // epoch.
-        (epoch - 1) as f64
+        true
     }
 
     fn local_step(

@@ -17,7 +17,7 @@
 //!   free virtual clocks, the engine pops completions in `(time, rank)`
 //!   order, and each round ends in a collective rendezvous (allreduce /
 //!   averaging). γ for a round is resolved from *nominal* system progress
-//!   (`event_gamma_epoch`), identically on every rank and backend, so the
+//!   (`StepClock::round_epoch`), identically on every rank and backend, so the
 //!   trajectory is independent of completion interleaving and the
 //!   threaded backend reproduces it bitwise.
 //!
@@ -30,7 +30,7 @@ use sasgd_nn::Model;
 use sasgd_simnet::{RankQueue, VirtualTime};
 
 use super::{
-    event_gamma_epoch, AggregationStrategy, BatchStream, Cadence, CommDecision, CommScope, RoundCtx,
+    rank::StepClock, AggregationStrategy, BatchStream, Cadence, CommDecision, CommScope, RoundCtx,
 };
 use crate::history::{History, StalenessStats};
 use crate::trainer::{EvalSets, Learner, TrainConfig};
@@ -129,7 +129,8 @@ fn run_lockstep(
         let steps = iters.iter().map(Vec::len).max().unwrap_or(0);
         let gamma_steps = iters[0].len().max(1);
         for step in 0..steps {
-            let epoch_f = s.gamma_epoch(epoch, step, gamma_steps);
+            let epoch_f =
+                StepClock::lockstep_epoch(s.epoch_start_gamma(), epoch, step, gamma_steps);
             let gamma_now = cfg.gamma_at(epoch_f);
             for (id, (l, batches)) in learners.iter_mut().zip(&iters).enumerate() {
                 // Ragged tails only exist for non-truncating strategies,
@@ -338,7 +339,7 @@ fn run_event_collective(
         // γ for the whole round, resolved from nominal progress *before*
         // the round: rank-independent, so every rank (and the threaded
         // backend) computes the identical rate.
-        let gamma_now = cfg.gamma_at(event_gamma_epoch(steps_done, cfg.batch_size, p, n));
+        let gamma_now = cfg.gamma_at(StepClock::round_epoch(steps_done, cfg.batch_size, p, n));
         // Schedule every learner's block (jitter drawn in rank order),
         // then pop completions in (time, rank) order.
         let mut queue: RankQueue<f64> = RankQueue::new();

@@ -4,8 +4,7 @@
 use sasgd::comm::ps_transport::{run_inproc, PsLayout};
 use sasgd::core::algorithms::GammaP;
 use sasgd::core::{
-    run_threaded_sasgd, run_threaded_sasgd_ft, train, Algorithm, FaultConfig, FaultPlan,
-    TrainConfig,
+    run_threaded_sasgd_ft, train, Algorithm, Backend, Executor, FaultConfig, FaultPlan, TrainConfig,
 };
 use sasgd::data::cifar_like::{generate, CifarLikeConfig};
 use sasgd::data::Dataset;
@@ -162,7 +161,13 @@ fn ft_runner_with_empty_plan_matches_plain_threaded_bitwise() {
     let (train_set, test_set) = generate(&CifarLikeConfig::tiny(128, 32, 3));
     let cfg = TrainConfig::new(3, 8, 0.05, 11);
     let f = || models::tiny_cnn(3, &mut SeedRng::new(5));
-    let plain = run_threaded_sasgd(&f, &train_set, &test_set, &cfg, 4, 2, GammaP::OverP);
+    let plain = Executor::new(Backend::Threaded).run(
+        &f,
+        &train_set,
+        &test_set,
+        &Algorithm::sasgd(4, 2, GammaP::OverP),
+        &cfg,
+    );
     let ft = run_threaded_sasgd_ft(
         &f,
         &train_set,
@@ -172,7 +177,8 @@ fn ft_runner_with_empty_plan_matches_plain_threaded_bitwise() {
         2,
         GammaP::OverP,
         &FaultConfig::default(),
-    );
+    )
+    .expect("FT run degrades around its faults");
     assert_eq!(
         plain.final_params, ft.final_params,
         "fault-free FT != plain"
@@ -207,7 +213,8 @@ fn crash_one_of_eight_mid_epoch_completes_on_survivors() {
             plan,
             deadline: FT_DEADLINE,
         },
-    );
+    )
+    .expect("FT run degrades around its faults");
     assert_eq!(h.records.len(), 3, "all epochs ran on the survivors");
     assert_eq!(h.membership.len(), 1, "exactly one membership change");
     let ev = &h.membership[0];
@@ -242,7 +249,8 @@ fn evicted_straggler_retires_with_typed_event() {
             plan,
             deadline: FT_DEADLINE,
         },
-    );
+    )
+    .expect("FT run degrades around its faults");
     assert_eq!(h.membership.len(), 1, "one membership change");
     assert_eq!(h.membership[0].lost, vec![3]);
     assert_eq!(h.retirements.len(), 1, "the evicted rank records its exit");
@@ -277,6 +285,7 @@ fn seeded_fault_plans_replay_bitwise() {
             GammaP::OverP,
             &faults,
         )
+        .expect("FT run degrades around its faults")
     };
     let (a, b) = (run(), run());
     assert!(a.final_params.is_some());
@@ -314,7 +323,8 @@ fn degraded_sasgd_still_beats_one_shot_averaging() {
             plan: FaultPlan::seeded(0xFA17, 8, 1, 3),
             deadline: FT_DEADLINE,
         },
-    );
+    )
+    .expect("FT run degrades around its faults");
     let mut f2 = || models::tiny_cnn(2, &mut SeedRng::new(7));
     let averaged = train(
         &mut f2,
