@@ -36,12 +36,14 @@ use sasgd_comm::collectives::{allreduce_ring, allreduce_tree, reduce_tree};
 use sasgd_comm::ft::{ft_allreduce, Membership};
 use sasgd_comm::hierarchy::{hierarchical_allreduce, GroupedComm};
 use sasgd_comm::ps_transport::{serve_shard, PsLayout, PsTransportClient, PullPolicy};
+use sasgd_comm::sim::VirtualClock;
 use sasgd_comm::sparse::{sparse_allreduce_tree_v2, SparseLevelProfile, SparseTreeOpts, SparseVec};
 use sasgd_comm::transport::Transport;
 use sasgd_comm::world::CommError;
 use sasgd_core::algorithms::GammaP;
 use sasgd_core::engine::rank::{
-    run_collective_rank, run_sasgd_rank, ClockSpec, CollectiveRankSpec, EventOp, SasgdRankSpec,
+    run_collective_rank, run_sasgd_rank, ClockSpec, CollectiveRankSpec, EventOp, RankClock,
+    SasgdRankSpec,
 };
 use sasgd_core::schedule::SyncPolicy;
 use sasgd_core::trainer::TrainConfig;
@@ -509,7 +511,7 @@ fn sc_sparse(p: usize, name: &'static str) -> ModelScenario {
                 SparseTreeOpts::default(),
                 &mut profile,
             ))?;
-            Ok(sv.to_dense())
+            wire(sv.to_dense())
         }),
         0,
         true,
@@ -807,7 +809,10 @@ fn engine_collective_rank(
         collective_tau,
         history_interval: 1,
     };
-    let hist = run_collective_rank(t, engine_model(), &shards[rank], &spec, op)
+    // A virtual clock nothing reads back: the checker's ranks stay off the
+    // wall clock.
+    let time = RankClock::Virtual(VirtualClock::new());
+    let hist = run_collective_rank(t, engine_model(), &shards[rank], &spec, op, time)
         .map_err(|e| e.to_string())?;
     hist.final_params
         .ok_or_else(|| "no final params".to_string())
@@ -861,8 +866,9 @@ fn sc_engine_modelavg() -> ModelScenario {
 /// The collective loop with the hierarchical exchange, 2 groups × 2
 /// learners over one model world: the `x0` broadcast on the primary
 /// endpoint, then one round per epoch of a group allreduce and group step
-/// on the `local` subgroup view; the second round (`t_global = 2`) adds a
-/// leader allreduce on the `leaders` view and a broadcast down the group.
+/// on the `local` subgroup view; the second round (`t_global = 2`) adds the
+/// leaders' rank-order average (a gather to the first leader and a
+/// broadcast back) on the `leaders` view and a broadcast down the group.
 /// The primary and subgroup views keep separate op counters, like the
 /// separate worlds of the threaded backend, and no two of their tags meet
 /// on the same pair of ranks.

@@ -19,9 +19,7 @@ use sasgd_comm::collectives::{allreduce_ring, allreduce_tree, chunk_bounds};
 use sasgd_comm::ft::{ft_allreduce, Membership};
 use sasgd_comm::hierarchy::{grouped, hierarchical_allreduce};
 use sasgd_comm::ps_transport::{run_inproc, PsLayout};
-use sasgd_comm::sparse::{
-    sparse_allreduce_tree_v2, tree_combine_bounded, SparseLevelProfile, SparseTreeOpts, SparseVec,
-};
+use sasgd_comm::sparse::{sparse_allreduce_tree_v2, SparseLevelProfile, SparseTreeOpts, SparseVec};
 use sasgd_comm::world::{CommWorld, Communicator};
 
 fn fixture_lints(name: &str) -> Vec<&'static str> {
@@ -208,10 +206,9 @@ fn real_thread_collectives_match_in_memory_references_bitwise() {
         });
         assert_bitwise("allreduce_ring", p, &got, &ring_reference(&inputs(p)));
 
-        let svs = (0..p)
-            .map(|r| SparseVec::from_dense(&sparse_input(r)))
-            .collect();
-        let (sparse_total, _, _) = tree_combine_bounded(svs, false, &vec![None; p]);
+        // The unbounded sparse tree is bitwise the dense tree of the
+        // densified inputs.
+        let sparse_total = tree_reference((0..p).map(sparse_input).collect());
         let got = on_threads(p, |mut c| {
             let mut sv = SparseVec::from_dense(&sparse_input(c.rank()));
             let mut profile = SparseLevelProfile::default();
@@ -219,14 +216,9 @@ fn real_thread_collectives_match_in_memory_references_bitwise() {
                 sparse_allreduce_tree_v2(&mut c, &mut sv, SparseTreeOpts::default(), &mut profile)
                     .expect("sparse allreduce");
             assert_eq!(spill.nnz(), 0, "unbounded tree spills nothing");
-            sv.to_dense()
+            sv.to_dense().expect("in range")
         });
-        assert_bitwise(
-            "sparse_allreduce_tree_v2",
-            p,
-            &got,
-            &sparse_total.to_dense(),
-        );
+        assert_bitwise("sparse_allreduce_tree_v2", p, &got, &sparse_total);
 
         let got = on_threads(p, |mut c| {
             let mut membership = Membership::new(c.size());

@@ -15,6 +15,9 @@
 //!   ranks running as separate OS processes;
 //! * [`mock`] — a minimal reference implementation for conformance
 //!   testing and failure-path injection;
+//! * [`sim`] — the in-process world with a virtual clock per rank: each
+//!   receive waits for the message's modeled link time, so the simulated
+//!   engine backend runs the same rank programs as the threaded one;
 //! * [`collectives`] — broadcast, binomial-tree reduce/allreduce
 //!   (the `O(m log p)` pattern the paper's cost analysis assumes), a
 //!   bandwidth-optimal ring allreduce for the ablation bench, and a
@@ -61,6 +64,7 @@ pub mod hierarchy;
 pub mod mock;
 pub mod protocol;
 pub mod ps_transport;
+pub mod sim;
 pub mod socket;
 pub mod sparse;
 pub mod transport;
@@ -74,6 +78,7 @@ pub use protocol::Frame;
 pub use ps_transport::{
     run_inproc, serve_shard, PsLayout, PsTransportClient, PsTransportError, PullPolicy,
 };
+pub use sim::{LinkTime, SimTransport, VirtualClock};
 pub use socket::{loopback_addrs, SocketTransport};
 pub use sparse::SparseVec;
 pub use transport::{InProcTransport, Transport};

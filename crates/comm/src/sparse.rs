@@ -34,8 +34,12 @@
 //! index union grows with tree depth) and an optional union bound that
 //! re-TopKs each merged partial, folding the trimmed mass back to the
 //! caller as a sparse *spill* for its error-feedback residual — nothing
-//! is silently lost. [`tree_combine_bounded`] is the in-memory mirror of
-//! the same combine-and-trim order for the simulated backend.
+//! is silently lost. Both engine backends run it over their transports.
+//!
+//! Decoding validates every peer frame: a frame whose length disagrees
+//! with its header, whose indices are out of order or out of range, whose
+//! scale is not finite, or whose dense length differs from the
+//! receiver's is [`CommError::Malformed`], never a panic.
 //!
 //! [`q8_allreduce_tree`] gives dense 8-bit quantization a real wire form:
 //! leaf sends travel as packed `[len, scale, q-packed]` frames
@@ -111,13 +115,19 @@ impl SparseVec {
         self.idx.len()
     }
 
-    /// Densify.
-    pub fn to_dense(&self) -> Vec<f32> {
+    /// Densify. [`CommError::Malformed`] when an index is out of range
+    /// or the lanes differ in length — impossible for vectors built by
+    /// [`SparseVec::from_dense`] or [`SparseVec::decode`].
+    pub fn to_dense(&self) -> Result<Vec<f32>, CommError> {
+        if self.idx.len() != self.val.len() {
+            return Err(malformed("index and value lanes differ in length"));
+        }
         let mut out = vec![0.0f32; self.len as usize];
         for (&i, &v) in self.idx.iter().zip(&self.val) {
-            out[i as usize] = v;
+            *out.get_mut(i as usize)
+                .ok_or(malformed("sparse index out of range"))? = v;
         }
-        out
+        Ok(out)
     }
 
     /// Merge-add `other` into `self` (`self[i] += other[i]` on shared
@@ -169,18 +179,46 @@ impl SparseVec {
         out
     }
 
-    /// Decode an [`encode`](SparseVec::encode)d message.
-    ///
-    /// # Panics
-    /// Panics if the buffer is malformed.
-    pub fn decode(buf: &[f32]) -> Self {
-        assert!(buf.len() >= 2, "sparse message too short");
-        let len = buf[0].to_bits();
-        let nnz = buf[1].to_bits() as usize;
-        assert_eq!(buf.len(), 2 + 2 * nnz, "sparse message length mismatch");
-        let idx: Vec<u32> = buf[2..2 + nnz].iter().map(|v| v.to_bits()).collect();
+    /// Decode an [`encode`](SparseVec::encode)d message, validating it:
+    /// [`CommError::Malformed`] unless the frame length matches its `nnz`
+    /// header and the indices are strictly increasing and below `len`.
+    pub fn decode(buf: &[f32]) -> Result<Self, CommError> {
+        let [len, nnz, ..] = *buf else {
+            return Err(malformed("sparse frame shorter than its header"));
+        };
+        let (len, nnz) = (len.to_bits(), nnz.to_bits() as usize);
+        if Some(buf.len()) != nnz.checked_mul(2).and_then(|n| n.checked_add(2)) {
+            return Err(malformed("sparse frame length disagrees with its nnz"));
+        }
+        let idx = decode_indices(&buf[2..2 + nnz], len)?;
         let val = buf[2 + nnz..].to_vec();
-        SparseVec { len, idx, val }
+        Ok(SparseVec { len, idx, val })
+    }
+}
+
+fn malformed(what: &'static str) -> CommError {
+    CommError::Malformed { what }
+}
+
+/// Bit-cast a frame's index lane, checking the indices are strictly
+/// increasing and below `len`.
+fn decode_indices(lane: &[f32], len: u32) -> Result<Vec<u32>, CommError> {
+    let idx: Vec<u32> = lane.iter().map(|v| v.to_bits()).collect();
+    if idx.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(malformed("sparse indices not strictly increasing"));
+    }
+    if idx.last().is_some_and(|&i| i >= len) {
+        return Err(malformed("sparse index out of range"));
+    }
+    Ok(idx)
+}
+
+/// A finite quantization scale from a peer's frame.
+fn decode_scale(v: f32) -> Result<f32, CommError> {
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(malformed("non-finite quantization scale"))
     }
 }
 
@@ -307,21 +345,23 @@ impl SparseVec8 {
         out
     }
 
-    /// Decode an [`encode`](SparseVec8::encode)d message.
-    ///
-    /// # Panics
-    /// Panics if the buffer is malformed.
-    pub fn decode(buf: &[f32]) -> Self {
-        assert!(buf.len() >= 3, "sparse8 message too short");
-        let len = buf[0].to_bits();
-        let nnz = buf[1].to_bits() as usize;
-        let scale = buf[2];
-        assert_eq!(
-            buf.len(),
-            sparse8_frame_elements(nnz),
-            "sparse8 message length mismatch"
-        );
-        let idx: Vec<u32> = buf[3..3 + nnz].iter().map(|v| v.to_bits()).collect();
+    /// Decode an [`encode`](SparseVec8::encode)d message, validating it:
+    /// [`CommError::Malformed`] unless the frame length matches its `nnz`
+    /// header, the indices are strictly increasing and below `len`, and
+    /// the scale is finite.
+    pub fn decode(buf: &[f32]) -> Result<Self, CommError> {
+        let [len, nnz, scale, ..] = *buf else {
+            return Err(malformed("sparse8 frame shorter than its header"));
+        };
+        let (len, nnz) = (len.to_bits(), nnz.to_bits() as usize);
+        let scale = decode_scale(scale)?;
+        let expect = nnz
+            .checked_add(nnz.div_ceil(4))
+            .and_then(|n| n.checked_add(3));
+        if Some(buf.len()) != expect {
+            return Err(malformed("sparse8 frame length disagrees with its nnz"));
+        }
+        let idx = decode_indices(&buf[3..3 + nnz], len)?;
         let mut q = Vec::with_capacity(nnz);
         for packed in &buf[3 + nnz..] {
             for b in packed.to_bits().to_le_bytes() {
@@ -330,7 +370,7 @@ impl SparseVec8 {
                 }
             }
         }
-        SparseVec8 { len, scale, idx, q }
+        Ok(SparseVec8 { len, scale, idx, q })
     }
 }
 
@@ -494,9 +534,12 @@ fn sparse_reduce_to_root<T: Transport>(
         if child < p {
             let buf = comm.recv(child, tag(op, 1))?;
             let part = match (bit, opts.q8_scale) {
-                (1, Some(_)) => SparseVec8::decode(&buf).to_sparse(),
-                _ => SparseVec::decode(&buf),
+                (1, Some(_)) => SparseVec8::decode(&buf)?.to_sparse(),
+                _ => SparseVec::decode(&buf)?,
             };
+            if part.len != sv.len {
+                return Err(malformed("sparse frame of another dense length"));
+            }
             sv.add_assign(&part);
             if let Some(bound) = opts.union_bound {
                 let trimmed = trim_to_bound(sv, bound);
@@ -546,74 +589,11 @@ pub fn sparse_allreduce_tree_v2<T: Transport>(
         );
     }
     broadcast(comm, 0, &mut enc)?;
-    *sv = SparseVec::decode(&enc);
+    *sv = SparseVec::decode(&enc)?;
+    if sv.len != spill.len {
+        return Err(malformed("sparse frame of another dense length"));
+    }
     Ok(spill)
-}
-
-/// In-memory mirror of [`sparse_allreduce_tree_v2`] over all `p`
-/// contributions at once: identical combine order (ascending bit levels,
-/// receiver `r` absorbs `r | bit`), identical per-receiver trimming
-/// (`bounds[r]` is rank r's union bound), and the exact
-/// [`SparseLevelProfile`] the wire run's merged per-rank profiles would
-/// record. Returns `(total, per-rank spills, profile)`.
-///
-/// The simulated backend aggregates through this so compressed runs stay
-/// bitwise identical to the threaded backend and its modeled wire
-/// accounting matches the measured traffic counters element-for-element.
-pub fn tree_combine_bounded(
-    mut svs: Vec<SparseVec>,
-    q8_leaves: bool,
-    bounds: &[Option<usize>],
-) -> (SparseVec, Vec<SparseVec>, SparseLevelProfile) {
-    let p = svs.len();
-    assert!(p > 0, "no contributions");
-    assert_eq!(bounds.len(), p, "one bound per rank");
-    let mut profile = SparseLevelProfile::default();
-    let mut spills: Vec<SparseVec> = svs
-        .iter()
-        .map(|s| SparseVec {
-            len: s.len,
-            idx: Vec::new(),
-            val: Vec::new(),
-        })
-        .collect();
-    let mut bit = 1usize;
-    while bit < p {
-        let mut r = 0usize;
-        while r + bit < p {
-            let s = r + bit;
-            let frame = if bit == 1 && q8_leaves {
-                sparse8_frame_elements(svs[s].nnz())
-            } else {
-                sparse_frame_elements(svs[s].nnz())
-            };
-            profile.record(level_of(bit), 1, svs[s].nnz() as u64, frame as u64);
-            let empty = SparseVec {
-                len: svs[s].len,
-                idx: Vec::new(),
-                val: Vec::new(),
-            };
-            let part = std::mem::replace(&mut svs[s], empty);
-            svs[r].add_assign(&part);
-            if let Some(bound) = bounds[r] {
-                let trimmed = trim_to_bound(&mut svs[r], bound);
-                spills[r].add_assign(&trimmed);
-            }
-            r += 2 * bit;
-        }
-        bit <<= 1;
-    }
-    let total = svs.swap_remove(0);
-    if p > 1 {
-        let msgs = (p - 1) as u64;
-        profile.record(
-            broadcast_level(p),
-            msgs,
-            msgs * total.nnz() as u64,
-            msgs * sparse_frame_elements(total.nnz()) as u64,
-        );
-    }
-    (total, spills, profile)
 }
 
 /// Encode an `m`-element dense vector whose entries sit exactly on the
@@ -639,20 +619,21 @@ fn dense8_encode(v: &[f32], scale: f32) -> Vec<f32> {
     out
 }
 
-/// Decode a [`dense8_encode`]d frame back to the dense `q·scale` vector
-/// (`q = 0` reconstructing canonical `+0.0`).
-///
-/// # Panics
-/// Panics if the buffer is malformed.
-fn dense8_decode(buf: &[f32]) -> Vec<f32> {
-    assert!(buf.len() >= 2, "dense8 message too short");
-    let m = buf[0].to_bits() as usize;
-    let scale = buf[1];
-    assert_eq!(
-        buf.len(),
-        dense8_frame_elements(m),
-        "dense8 message length mismatch"
-    );
+/// Decode a [`dense8_encode`]d frame of an `m`-element vector back to the
+/// dense `q·scale` vector (`q = 0` reconstructing canonical `+0.0`):
+/// [`CommError::Malformed`] unless the frame's length header is `m`, its
+/// size matches the header and its scale is finite.
+fn dense8_decode(buf: &[f32], m: usize) -> Result<Vec<f32>, CommError> {
+    let [len, scale, ..] = *buf else {
+        return Err(malformed("dense8 frame shorter than its header"));
+    };
+    if len.to_bits() as usize != m {
+        return Err(malformed("dense8 frame of another dense length"));
+    }
+    let scale = decode_scale(scale)?;
+    if buf.len() != dense8_frame_elements(m) {
+        return Err(malformed("dense8 frame length disagrees with its header"));
+    }
     let mut out = Vec::with_capacity(m);
     for packed in &buf[2..] {
         for b in packed.to_bits().to_le_bytes() {
@@ -662,7 +643,7 @@ fn dense8_decode(buf: &[f32]) -> Vec<f32> {
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// Dense allreduce for 8-bit-quantized vectors: leaf-level sends (a
@@ -702,7 +683,13 @@ pub fn q8_allreduce_tree<T: Transport>(
         let child = rank | bit;
         if child < p {
             let buf = comm.recv(child, tag(op, 1))?;
-            let part = if bit == 1 { dense8_decode(&buf) } else { buf };
+            let part = if bit == 1 {
+                dense8_decode(&buf, v.len())?
+            } else if buf.len() == v.len() {
+                buf
+            } else {
+                return Err(malformed("dense partial of another length"));
+            };
             for (a, b) in v.iter_mut().zip(&part) {
                 *a += b;
             }
@@ -717,6 +704,7 @@ mod tests {
     use super::*;
     use crate::collectives::allreduce_tree;
     use crate::world::{CommWorld, Communicator};
+    use proptest::prelude::*;
     use std::thread;
 
     fn run_world<T: Send>(p: usize, f: impl Fn(&mut Communicator) -> T + Sync) -> Vec<T> {
@@ -750,9 +738,9 @@ mod tests {
         let v = vec![0.0f32, -1.5, 0.0, 3.25, 0.0, 1e-30];
         let sv = SparseVec::from_dense(&v);
         assert_eq!(sv.nnz(), 3);
-        let back = SparseVec::decode(&sv.encode());
+        let back = SparseVec::decode(&sv.encode()).expect("valid frame");
         assert_eq!(back, sv);
-        assert_eq!(back.to_dense(), v);
+        assert_eq!(back.to_dense(), Ok(v));
     }
 
     #[test]
@@ -762,7 +750,7 @@ mod tests {
         let mut sa = SparseVec::from_dense(&a);
         sa.add_assign(&SparseVec::from_dense(&b));
         let want: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-        assert_eq!(sa.to_dense(), want);
+        assert_eq!(sa.to_dense(), Ok(want));
     }
 
     #[test]
@@ -770,7 +758,7 @@ mod tests {
         let mut a = SparseVec::from_dense(&[2.0f32, 0.0]);
         a.add_assign(&SparseVec::from_dense(&[-2.0f32, 0.0]));
         assert_eq!(a.nnz(), 1, "exact-zero sums stay represented");
-        assert_eq!(a.to_dense(), vec![0.0, 0.0]);
+        assert_eq!(a.to_dense(), Ok(vec![0.0, 0.0]));
     }
 
     #[test]
@@ -799,7 +787,7 @@ mod tests {
                 let mut sv = SparseVec::from_dense(&input(c.rank()));
                 let spill = allreduce_exact(c, &mut sv);
                 assert_eq!(spill.nnz(), 0, "unbounded tree spills nothing");
-                sv.to_dense()
+                sv.to_dense().expect("in range")
             });
             for (d, s) in dense.iter().zip(&sparse) {
                 for (a, b) in d.iter().zip(s) {
@@ -855,6 +843,114 @@ mod tests {
         );
     }
 
+    /// Bit-cast `u32` words into a frame.
+    fn frame(words: &[u32]) -> Vec<f32> {
+        words.iter().map(|&w| f32::from_bits(w)).collect()
+    }
+
+    fn is_malformed<T: std::fmt::Debug>(r: Result<T, CommError>) -> bool {
+        matches!(r, Err(CommError::Malformed { .. }))
+    }
+
+    #[test]
+    fn malformed_frames_are_typed_errors() {
+        // Short, length-mismatched, unsorted, duplicate and out-of-range.
+        assert!(is_malformed(SparseVec::decode(&frame(&[4]))));
+        assert!(is_malformed(SparseVec::decode(&frame(&[4, 2, 1]))));
+        assert!(is_malformed(SparseVec::decode(&frame(&[4, 2, 3, 1, 0, 0]))));
+        assert!(is_malformed(SparseVec::decode(&frame(&[4, 2, 1, 1, 0, 0]))));
+        assert!(is_malformed(SparseVec::decode(&frame(&[4, 1, 4, 0]))));
+        assert!(is_malformed(SparseVec::decode(&frame(&[4, u32::MAX]))));
+        assert!(SparseVec::decode(&frame(&[4, 1, 3, 0])).is_ok());
+        // A huge nnz header must not overflow the length check.
+        let huge = frame(&[u32::MAX, u32::MAX, 0]);
+        assert!(is_malformed(SparseVec8::decode(&huge)));
+        let mut nan_scale = frame(&[4, 1, 0, 2, 0]);
+        nan_scale[2] = f32::NAN;
+        assert!(is_malformed(SparseVec8::decode(&nan_scale)));
+        nan_scale[2] = f32::INFINITY;
+        assert!(is_malformed(SparseVec8::decode(&nan_scale)));
+        nan_scale[2] = 0.5;
+        assert!(SparseVec8::decode(&nan_scale).is_ok());
+        // dense8: wrong dense length, wrong size, bad scale.
+        let good = dense8_encode(&[0.5, -0.5, 1.0], 0.5);
+        assert_eq!(dense8_decode(&good, 3), Ok(vec![0.5, -0.5, 1.0]));
+        assert!(is_malformed(dense8_decode(&good, 4)));
+        assert!(is_malformed(dense8_decode(&good[..2], 3)));
+        assert!(is_malformed(dense8_decode(&good[..1], 3)));
+        let mut bad = good.clone();
+        bad[1] = f32::NAN;
+        assert!(is_malformed(dense8_decode(&bad, 3)));
+        // A hand-built vector with an index past its length.
+        let sv = SparseVec {
+            len: 2,
+            idx: vec![5],
+            val: vec![1.0],
+        };
+        assert!(is_malformed(sv.to_dense()));
+    }
+
+    #[test]
+    fn hostile_leaf_frame_fails_the_receiving_rank_typed() {
+        // Rank 1 puts garbage where its leaf frame belongs: rank 0's
+        // sparse and q8 trees return Malformed instead of panicking.
+        for q8 in [false, true] {
+            let out = run_world(2, |c| {
+                if c.rank() == 1 {
+                    let op = c.next_op();
+                    c.send(0, tag(op, 1), frame(&[9, 7, 3, 1])).expect("send");
+                    return true;
+                }
+                if q8 {
+                    let mut v = vec![0.5f32; 9];
+                    is_malformed(q8_allreduce_tree(c, &mut v, 0.5))
+                } else {
+                    let mut sv = SparseVec::from_dense(&[1.0f32; 9]);
+                    let mut profile = SparseLevelProfile::default();
+                    let opts = SparseTreeOpts::default();
+                    is_malformed(sparse_allreduce_tree_v2(c, &mut sv, opts, &mut profile))
+                }
+            });
+            assert_eq!(out, vec![true, true], "q8={q8}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_frames_never_panic(
+            len in 0u32..24,
+            nnz in 0u32..12,
+            idx in proptest::collection::vec(0u32..32, 0..12),
+            raw in proptest::collection::vec(0u32..u32::MAX, 0..40),
+            cut in 0usize..48,
+        ) {
+            // Near-valid headers (plausible len/nnz, mostly-sorted small
+            // indices) reach the deep checks; the raw tail and the cut
+            // cover everything else.
+            let mut words = vec![len, nnz];
+            words.extend(&idx);
+            words.extend(&raw);
+            words.truncate(cut.max(1));
+            for buf in [frame(&words), frame(&raw)] {
+                if let Ok(sv) = SparseVec::decode(&buf) {
+                    prop_assert!(sv.idx.windows(2).all(|w| w[0] < w[1]));
+                    prop_assert_eq!(sv.idx.len(), sv.val.len());
+                    prop_assert_eq!(sv.to_dense().map(|d| d.len()), Ok(sv.len as usize));
+                }
+                if let Ok(sv8) = SparseVec8::decode(&buf) {
+                    prop_assert!(sv8.scale.is_finite());
+                    prop_assert!(sv8.to_sparse().to_dense().is_ok());
+                }
+                let m = len as usize;
+                if let Ok(d) = dense8_decode(&buf, m) {
+                    prop_assert_eq!(d.len(), m);
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_rejected() {
@@ -880,7 +976,7 @@ mod tests {
         let q8 = SparseVec8::from_scaled(&sv, 0.03125);
         let enc = q8.encode();
         assert_eq!(enc.len(), sparse8_frame_elements(sv.nnz()));
-        let back = SparseVec8::decode(&enc);
+        let back = SparseVec8::decode(&enc).expect("valid frame");
         assert_eq!(back, q8);
         let rec = back.to_sparse();
         assert_eq!(rec.idx, sv.idx);
@@ -922,46 +1018,68 @@ mod tests {
         assert_eq!(sv.idx, vec![1, 3]);
     }
 
+    /// Run the union-bounded v2 tree over `inputs` (rank `r` contributes
+    /// `inputs[r]`): every rank's `(total, spill, profile)`.
+    fn bounded_run(
+        inputs: &[SparseVec],
+        bound: usize,
+        q8_scale: Option<f32>,
+    ) -> Vec<(SparseVec, SparseVec, SparseLevelProfile)> {
+        run_world(inputs.len(), |c| {
+            let mut sv = inputs[c.rank()].clone();
+            let mut profile = SparseLevelProfile::default();
+            let opts = SparseTreeOpts {
+                union_bound: Some(bound),
+                q8_scale,
+            };
+            let spill =
+                sparse_allreduce_tree_v2(c, &mut sv, opts, &mut profile).expect("v2 bounded");
+            (sv, spill, profile)
+        })
+    }
+
     #[test]
-    fn v2_wire_matches_in_memory_mirror_bitwise() {
-        // q8 leaf frames + union bound, p across tree shapes: the wire
-        // run and tree_combine_bounded must agree on the total, every
-        // rank's spill, and the merged per-level profile.
+    fn v2_bounded_tree_agrees_across_ranks_and_counts_every_frame() {
+        // q8 leaf frames + union bound, p across tree shapes: every rank
+        // ends with the same total, and the merged per-level profile
+        // counts exactly the elements the traffic counters see.
         for p in [2usize, 3, 4, 7, 8] {
             let m = 64;
             let scale = 0.03125f32;
-            let bound = 6usize;
             let inputs: Vec<SparseVec> = (0..p).map(|r| grid_vector(m, scale, r + 1)).collect();
-            let wire: Vec<(Vec<f32>, Vec<f32>, SparseLevelProfile)> = {
-                let inputs = &inputs;
-                run_world(p, move |c| {
-                    let mut sv = inputs[c.rank()].clone();
-                    let mut profile = SparseLevelProfile::default();
-                    let opts = SparseTreeOpts {
-                        union_bound: Some(bound),
-                        q8_scale: Some(scale),
-                    };
-                    let spill = sparse_allreduce_tree_v2(c, &mut sv, opts, &mut profile)
-                        .expect("v2 bounded");
-                    (sv.to_dense(), spill.to_dense(), profile)
-                })
-            };
-            let bounds = vec![Some(bound); p];
-            let (total, spills, mirror_profile) =
-                tree_combine_bounded(inputs.clone(), true, &bounds);
-            let total_dense = total.to_dense();
+            let mut world = CommWorld::new(p);
+            let traffic = world.traffic();
+            let comms = world.communicators();
+            let out: Vec<(SparseVec, SparseLevelProfile)> = thread::scope(|s| {
+                let handles: Vec<_> = comms
+                    .into_iter()
+                    .map(|mut c| {
+                        let mut sv = inputs[c.rank()].clone();
+                        s.spawn(move || {
+                            let mut profile = SparseLevelProfile::default();
+                            let opts = SparseTreeOpts {
+                                union_bound: Some(6),
+                                q8_scale: Some(scale),
+                            };
+                            sparse_allreduce_tree_v2(&mut c, &mut sv, opts, &mut profile)
+                                .expect("v2 bounded");
+                            (sv, profile)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("rank thread"))
+                    .collect()
+            });
             let mut merged = SparseLevelProfile::default();
-            for (r, (wire_total, wire_spill, profile)) in wire.iter().enumerate() {
+            for (r, (total, profile)) in out.iter().enumerate() {
+                assert_eq!(total, &out[0].0, "total p={p} rank={r}");
+                assert!(total.nnz() <= 6, "root trimmed to the bound");
                 merged.merge(profile);
-                for (a, b) in wire_total.iter().zip(&total_dense) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "total p={p} rank={r}");
-                }
-                let mirror_spill = spills[r].to_dense();
-                for (a, b) in wire_spill.iter().zip(&mirror_spill) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "spill p={p} rank={r}");
-                }
             }
-            assert_eq!(merged, mirror_profile, "p={p}");
+            assert_eq!(merged.total_elements(), traffic.elements_sent(), "p={p}");
+            assert_eq!(merged.total_messages(), traffic.messages_sent(), "p={p}");
         }
     }
 
@@ -985,13 +1103,13 @@ mod tests {
             .flat_map(|sv| sv.val.iter())
             .map(|&v| f64::from(v))
             .sum();
-        let bounds = vec![Some(5usize); p];
-        let (total, spills, _) = tree_combine_bounded(inputs, false, &bounds);
+        let out = bounded_run(&inputs, 5, None);
+        let total = &out[0].0;
         assert!(total.nnz() <= 5, "delivered vector respects the bound");
         let delivered: f64 = total.val.iter().map(|&v| f64::from(v)).sum();
-        let spilled: f64 = spills
+        let spilled: f64 = out
             .iter()
-            .flat_map(|sv| sv.val.iter())
+            .flat_map(|(_, spill, _)| spill.val.iter())
             .map(|&v| f64::from(v))
             .sum();
         assert_eq!(
@@ -1007,31 +1125,40 @@ mod tests {
         let p = 8;
         let m = 4096;
         let per_rank = 16usize;
-        let inputs = |r: usize| {
-            let mut v = vec![0.0f32; m];
-            for j in 0..per_rank {
-                v[r * 512 + j * 7] = (r + 1) as f32;
+        let inputs: Vec<SparseVec> = (0..p)
+            .map(|r| {
+                let mut v = vec![0.0f32; m];
+                for j in 0..per_rank {
+                    v[r * 512 + j * 7] = (r + 1) as f32;
+                }
+                SparseVec::from_dense(&v)
+            })
+            .collect();
+        let profile = |out: &[(SparseVec, SparseVec, SparseLevelProfile)]| {
+            let mut merged = SparseLevelProfile::default();
+            for (_, _, pr) in out {
+                merged.merge(pr);
             }
-            SparseVec::from_dense(&v)
+            merged
         };
-        let svs: Vec<SparseVec> = (0..p).map(inputs).collect();
-        let (_, _, unbounded) = tree_combine_bounded(svs.clone(), false, &vec![None; p]);
+        let unbounded = profile(&bounded_run(&inputs, m, None));
         let leaf = &unbounded.levels[0];
         let deepest = &unbounded.levels[2];
         assert!(
             deepest.nnz * leaf.messages > 2 * leaf.nnz * deepest.messages,
             "unbounded per-message nnz must grow with depth: {unbounded:?}"
         );
-        let (total, spills, bounded) = tree_combine_bounded(svs, false, &vec![Some(per_rank); p]);
+        let out = bounded_run(&inputs, per_rank, None);
+        let bounded = profile(&out);
         for (level, s) in bounded.levels.iter().enumerate() {
             assert!(
                 s.nnz <= s.messages * per_rank as u64,
                 "level {level} exceeds the union bound: {s:?}"
             );
         }
-        assert_eq!(total.nnz(), per_rank, "delivered vector is at the bound");
+        assert_eq!(out[0].0.nnz(), per_rank, "delivered vector is at the bound");
         assert!(
-            spills.iter().map(SparseVec::nnz).sum::<usize>() > 0,
+            out.iter().map(|(_, spill, _)| spill.nnz()).sum::<usize>() > 0,
             "trimmed mass lands in the spills"
         );
     }
@@ -1054,7 +1181,7 @@ mod tests {
             let v = grid_dense(m, 0.0625, 2);
             let enc = dense8_encode(&v, 0.0625);
             assert_eq!(enc.len(), dense8_frame_elements(m));
-            assert_eq!(dense8_decode(&enc), v, "m={m}");
+            assert_eq!(dense8_decode(&enc, m), Ok(v), "m={m}");
         }
     }
 

@@ -62,6 +62,14 @@ pub enum CommError {
     /// copy world settings at split time, so the call could never reach
     /// them — formerly it was silently ignored.
     WorldSplit,
+    /// A peer's frame does not decode: its length disagrees with its
+    /// header, an index is out of order or out of range, a scale is not
+    /// finite, or its dense length differs from the receiver's. Decoders
+    /// return this instead of panicking on hostile input.
+    Malformed {
+        /// What was wrong with the frame.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for CommError {
@@ -78,6 +86,7 @@ impl fmt::Display for CommError {
             CommError::WorldSplit => {
                 f.write_str("world configuration changed after endpoints were handed out")
             }
+            CommError::Malformed { what } => write!(f, "malformed frame: {what}"),
         }
     }
 }
@@ -88,8 +97,14 @@ impl std::error::Error for CommError {}
 struct Message {
     from: usize,
     tag: u64,
+    /// The sender's virtual clock at the send (`0.0` from plain sends;
+    /// read only by [`crate::sim::SimTransport`]).
+    sent_at: f64,
     payload: Vec<f32>,
 }
+
+/// A received payload with the sender's virtual send time.
+pub(crate) type Stamped = (f64, Vec<f32>);
 
 /// Aggregate traffic counters for a world, shared by all ranks.
 #[derive(Default)]
@@ -247,7 +262,7 @@ pub struct Communicator {
     receiver: Receiver<Message>,
     /// Out-of-order arrivals parked until a matching `recv`. Ordered map:
     /// see the module docs (lint `map-iter`).
-    pending: BTreeMap<(usize, u64), VecDeque<Vec<f32>>>,
+    pending: BTreeMap<(usize, u64), VecDeque<Stamped>>,
     /// Collective sequence number; all ranks call collectives in the same
     /// order, so equal counters identify the same operation.
     op_counter: u64,
@@ -286,6 +301,17 @@ impl Communicator {
     /// unbounded). Fails with [`CommError::PeerGone`] when `dst`'s endpoint
     /// has been dropped — the immediate signature of a crashed learner.
     pub fn send(&self, dst: usize, tag: u64, payload: Vec<f32>) -> Result<(), CommError> {
+        self.send_at(dst, tag, payload, 0.0)
+    }
+
+    /// [`Communicator::send`] stamped with the sender's virtual clock.
+    pub(crate) fn send_at(
+        &self,
+        dst: usize,
+        tag: u64,
+        payload: Vec<f32>,
+        sent_at: f64,
+    ) -> Result<(), CommError> {
         let seq = self.send_seq.get();
         self.send_seq.set(seq + 1);
         if let Some(f) = &self.faults {
@@ -302,6 +328,7 @@ impl Communicator {
             .send(Message {
                 from: self.rank,
                 tag,
+                sent_at,
                 payload,
             })
             .map_err(|_| CommError::PeerGone { peer: dst })
@@ -311,7 +338,8 @@ impl Communicator {
     /// parked for later matching (MPI-style tag matching). Honors the
     /// endpoint's default deadline when one is set.
     pub fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
-        self.recv_inner(src, tag, self.default_deadline)
+        self.recv_stamped(src, tag, self.default_deadline)
+            .map(|(_, v)| v)
     }
 
     /// Receive matched on `(src, tag)` with an explicit deadline:
@@ -322,15 +350,17 @@ impl Communicator {
         tag: u64,
         timeout: Duration,
     ) -> Result<Vec<f32>, CommError> {
-        self.recv_inner(src, tag, Some(timeout))
+        self.recv_stamped(src, tag, Some(timeout)).map(|(_, v)| v)
     }
 
-    fn recv_inner(
+    /// Receive matched on `(src, tag)`, bounded by `timeout` when present,
+    /// with the sender's virtual send time.
+    pub(crate) fn recv_stamped(
         &mut self,
         src: usize,
         tag: u64,
         timeout: Option<Duration>,
-    ) -> Result<Vec<f32>, CommError> {
+    ) -> Result<Stamped, CommError> {
         if let Some(q) = self.pending.get_mut(&(src, tag)) {
             if let Some(m) = q.pop_front() {
                 return Ok(m);
@@ -340,12 +370,12 @@ impl Communicator {
         loop {
             let msg = self.next_message(deadline, src, tag)?;
             if msg.from == src && msg.tag == tag {
-                return Ok(msg.payload);
+                return Ok((msg.sent_at, msg.payload));
             }
             self.pending
                 .entry((msg.from, msg.tag))
                 .or_default()
-                .push_back(msg.payload);
+                .push_back((msg.sent_at, msg.payload));
         }
     }
 
@@ -389,7 +419,8 @@ impl Communicator {
         &mut self,
         candidates: &[(usize, u64)],
     ) -> Result<(usize, Vec<f32>), CommError> {
-        self.recv_any_inner(candidates, self.default_deadline)
+        self.recv_any_stamped(candidates, self.default_deadline)
+            .map(|(src, (_, v))| (src, v))
     }
 
     /// [`Communicator::recv_any`] with an explicit deadline.
@@ -398,14 +429,17 @@ impl Communicator {
         candidates: &[(usize, u64)],
         timeout: Duration,
     ) -> Result<(usize, Vec<f32>), CommError> {
-        self.recv_any_inner(candidates, Some(timeout))
+        self.recv_any_stamped(candidates, Some(timeout))
+            .map(|(src, (_, v))| (src, v))
     }
 
-    fn recv_any_inner(
+    /// [`Communicator::recv_any`] bounded by `timeout` when present, with
+    /// the sender's virtual send time.
+    pub(crate) fn recv_any_stamped(
         &mut self,
         candidates: &[(usize, u64)],
         timeout: Option<Duration>,
-    ) -> Result<(usize, Vec<f32>), CommError> {
+    ) -> Result<(usize, Stamped), CommError> {
         let &(first_src, first_tag) = candidates.first().ok_or(CommError::NoCandidates)?;
         for &(src, tag) in candidates {
             if let Some(q) = self.pending.get_mut(&(src, tag)) {
@@ -418,12 +452,12 @@ impl Communicator {
         loop {
             let msg = self.next_message(deadline, first_src, first_tag)?;
             if candidates.contains(&(msg.from, msg.tag)) {
-                return Ok((msg.from, msg.payload));
+                return Ok((msg.from, (msg.sent_at, msg.payload)));
             }
             self.pending
                 .entry((msg.from, msg.tag))
                 .or_default()
-                .push_back(msg.payload);
+                .push_back((msg.sent_at, msg.payload));
         }
     }
 

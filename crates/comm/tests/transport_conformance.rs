@@ -1,6 +1,7 @@
 //! Transport conformance suite: one generic body of tests run against
 //! every [`Transport`] implementation — the in-process crossbeam world,
-//! the TCP socket mesh, the mock, and the model checker's live-mode
+//! its virtual-time wrapper [`SimTransport`], the TCP socket mesh, the
+//! mock, and the model checker's live-mode
 //! [`ModelTransport`](sasgd_analysis::model) — so the trait's
 //! failure-semantics contract is checked by construction, not by
 //! convention.
@@ -11,10 +12,12 @@
 
 use sasgd_comm::collectives::allreduce_tree;
 use sasgd_comm::mock::mock_world;
+use sasgd_comm::sim::SimTransport;
 use sasgd_comm::socket::SocketTransport;
 use sasgd_comm::transport::Transport;
 use sasgd_comm::world::{CommError, CommWorld};
 use std::net::TcpListener;
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -54,6 +57,12 @@ fn socket_world(p: usize) -> Vec<SocketTransport> {
 
 fn inproc_world(p: usize) -> Vec<sasgd_comm::world::Communicator> {
     CommWorld::new(p).communicators()
+}
+
+/// The in-process world on virtual clocks, every message priced at 1 ms
+/// plus 1 ns per byte: receives move clocks, never the contract.
+fn sim_world(p: usize) -> Vec<SimTransport> {
+    SimTransport::world(p, Arc::new(|bytes| 1e-3 + bytes * 1e-9))
 }
 
 // ---------------------------------------------------------------- scenarios
@@ -258,6 +267,7 @@ macro_rules! conformance {
 }
 
 conformance!(inproc, inproc_world);
+conformance!(sim, sim_world);
 conformance!(socket, socket_world);
 conformance!(mock, mock_world);
 // The model checker's transport in *live* mode: same failure-semantics

@@ -18,44 +18,26 @@
 //! bulk-synchronous SASGD (stall every round) and Downpour (unbounded
 //! staleness). The price is a fixed one-round staleness, reported through
 //! [`AggregationStrategy::collective_tau`].
+//!
+//! The exchange is the rank program's
+//! [`EventOp::DelayedAverage`](crate::engine::rank::EventOp::DelayedAverage).
+//! On the simulated backend the allreduce of round `k` leaves the virtual
+//! clock at its launch; round `k + 1` waits only for whatever of it has
+//! not landed yet.
 
-use sasgd_data::Dataset;
-use sasgd_nn::Model;
-
-use crate::engine::{simulated, tree_reduce, AggregationStrategy, Cadence};
-use crate::history::{History, WireStats};
-use crate::trainer::{Learner, TrainConfig};
+use crate::engine::{AggregationStrategy, Cadence};
 
 /// Delayed averaging: round-k average applied at round k+1.
 pub(crate) struct DaSgdStrategy {
     p: usize,
     t: usize,
-    /// The average computed last round, waiting to be applied.
-    pending: Option<Vec<f32>>,
-    /// Per-learner parameters at the moment of the last application —
-    /// the base point the local progress delta is measured from.
-    snaps: Vec<Vec<f32>>,
-    /// Virtual time at which the in-flight allreduce completes.
-    last_avail: f64,
-    /// Cost of one dense parameter allreduce.
-    ar_seconds: f64,
-    /// Parameter count (for wire accounting).
-    m: usize,
 }
 
 impl DaSgdStrategy {
     pub(crate) fn new(p: usize, t: usize) -> Self {
         assert!(p >= 1, "need at least one learner");
         assert!(t >= 1, "averaging interval must be positive");
-        DaSgdStrategy {
-            p,
-            t,
-            pending: None,
-            snaps: Vec::new(),
-            last_avail: 0.0,
-            ar_seconds: 0.0,
-            m: 0,
-        }
+        DaSgdStrategy { p, t }
     }
 }
 
@@ -80,133 +62,34 @@ impl AggregationStrategy for DaSgdStrategy {
         // Every applied average is exactly one round old by construction.
         1
     }
-
-    fn setup(&mut self, _factory: &mut dyn FnMut() -> Model, x0: &[f32], cfg: &TrainConfig) -> f64 {
-        self.m = x0.len();
-        self.snaps = vec![x0.to_vec(); self.p];
-        self.ar_seconds = cfg.cost.allreduce_tree(self.m, self.p).seconds;
-        self.last_avail = 0.0;
-        self.pending = None;
-        // Replicas start identical from the shared factory — no broadcast,
-        // matching the threaded DelayedAverage runner.
-        0.0
-    }
-
-    fn local_step(
-        &mut self,
-        l: &mut Learner,
-        _id: usize,
-        data: &Dataset,
-        idx: &[usize],
-        gamma: f32,
-        step_s: f64,
-        jitter: f64,
-    ) {
-        l.local_step(data, idx, gamma, step_s, jitter);
-        // Averaging consumes parameters, not gradients: keep gs empty.
-        l.gs.iter_mut().for_each(|g| *g = 0.0);
-    }
-
-    fn on_local_step(
-        &mut self,
-        l: &mut Learner,
-        _id: usize,
-        data: &Dataset,
-        idx: &[usize],
-        gamma: f32,
-    ) {
-        l.local_step(data, idx, gamma, 0.0, 1.0);
-        l.gs.iter_mut().for_each(|g| *g = 0.0);
-    }
-
-    fn sync(&mut self, learners: &mut [Learner], _gamma_now: f32) {
-        // Launch this round's allreduce over the *pre-application*
-        // parameters, in binomial-tree order with reciprocal scaling —
-        // the exact float sequence of the threaded DelayedAverage op.
-        let t_arr_max = learners.iter().map(|l| l.clock).fold(0.0_f64, f64::max);
-        let bufs: Vec<Vec<f32>> = learners.iter().map(|l| l.model.param_vector()).collect();
-        let mut avg = tree_reduce(bufs);
-        let inv = 1.0 / self.p as f32;
-        avg.iter_mut().for_each(|v| *v *= inv);
-        // Apply the PREVIOUS round's average, re-based by each learner's
-        // local progress since its last application.
-        if let Some(prev) = self.pending.take() {
-            for (i, l) in learners.iter_mut().enumerate() {
-                let cur = l.model.param_vector();
-                let applied: Vec<f32> = prev
-                    .iter()
-                    .zip(&cur)
-                    .zip(&self.snaps[i])
-                    .map(|((&pv, &cv), &sv)| pv + (cv - sv))
-                    .collect();
-                l.model.write_params(&applied);
-                self.snaps[i] = applied;
-            }
-        } else {
-            for (i, l) in learners.iter().enumerate() {
-                self.snaps[i] = l.model.param_vector();
-            }
-        }
-        self.pending = Some(avg);
-        // Overlapped timing: a learner only stalls if the previous
-        // round's allreduce has not completed by the time it arrives
-        // here; the one launched now completes ar_seconds after the
-        // slowest learner arrives.
-        for l in learners.iter_mut() {
-            let wait = (self.last_avail - l.clock).max(0.0);
-            l.charge_comm(wait);
-        }
-        self.last_avail = t_arr_max + self.ar_seconds;
-    }
-
-    fn final_params(&mut self, learners: &[Learner]) -> Vec<f32> {
-        // Flush the in-flight average so a finished run does not discard
-        // the last round of aggregation (mirrors the threaded runner).
-        let cur = learners[0].model.param_vector();
-        match &self.pending {
-            Some(prev) => prev
-                .iter()
-                .zip(&cur)
-                .zip(&self.snaps[0])
-                .map(|((&pv, &cv), &sv)| pv + (cv - sv))
-                .collect(),
-            None => cur,
-        }
-    }
-
-    fn wire(&self, syncs: u64) -> Option<WireStats> {
-        // One dense tree allreduce per round: 2(p−1) messages of m
-        // elements. No initial broadcast (replicas start identical).
-        let p1 = (self.p - 1) as u64;
-        Some(WireStats {
-            elements: 2 * p1 * self.m as u64 * syncs,
-            messages: 2 * p1 * syncs,
-        })
-    }
-}
-
-/// Run delayed averaging on the simulated backend under the event-driven
-/// engine.
-pub(crate) fn run(
-    factory: &mut dyn FnMut() -> Model,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    cfg: &TrainConfig,
-    p: usize,
-    t: usize,
-) -> History {
-    let mut s = DaSgdStrategy::new(p, t);
-    simulated::run_auto(&mut s, factory, train_set, test_set, cfg)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::schedule::TSchedule;
+    use crate::{train, Algorithm, History, TSchedule, TrainConfig};
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
-    use sasgd_nn::models;
+    use sasgd_data::Dataset;
+    use sasgd_nn::{models, Model};
     use sasgd_simnet::JitterModel;
     use sasgd_tensor::SeedRng;
+
+    /// Delayed averaging on the simulated backend.
+    fn run(
+        factory: &mut dyn FnMut() -> Model,
+        train_set: &Dataset,
+        test_set: &Dataset,
+        cfg: &TrainConfig,
+        p: usize,
+        t: usize,
+    ) -> History {
+        train(
+            factory,
+            train_set,
+            test_set,
+            &Algorithm::DelayedAvg { p, t },
+            cfg,
+        )
+    }
 
     fn quiet_cfg(epochs: usize, gamma: f32) -> TrainConfig {
         let mut cfg = TrainConfig::new(epochs, 8, gamma, 42);
@@ -226,34 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_hides_communication_vs_local_sgd() {
-        // With jitter off, every learner reaches the round barrier at the
-        // same time, so Local SGD pays the full allreduce each round while
-        // delayed averaging only waits for the *previous* allreduce —
-        // already finished once T compute steps exceed its latency.
-        let (train, test) = generate(&CifarLikeConfig::tiny(128, 32, 3));
-        let cfg = quiet_cfg(3, 0.05);
-        let t = 4;
-        let mut f1 = || models::tiny_cnn(3, &mut SeedRng::new(5));
-        let local = crate::algorithms::local_sgd::run(
-            &mut f1,
-            &train,
-            &test,
-            &cfg,
-            4,
-            TSchedule::Fixed { t },
-        );
-        let mut f2 = || models::tiny_cnn(3, &mut SeedRng::new(5));
-        let delayed = run(&mut f2, &train, &test, &cfg, 4, t);
-        let lc = local.records.last().expect("r").comm_seconds;
-        let dc = delayed.records.last().expect("r").comm_seconds;
-        assert!(
-            dc < lc,
-            "delayed averaging comm {dc} should undercut Local SGD {lc}"
-        );
-    }
-
-    #[test]
     fn p1_delayed_averaging_is_nearly_transparent() {
         // With one learner the "average" is the learner itself, so the
         // delayed application rebases to prev + (cur − snap) = cur up to
@@ -266,14 +121,11 @@ mod tests {
         let mut f1 = || models::tiny_cnn(3, &mut SeedRng::new(9));
         let da = run(&mut f1, &train, &test, &cfg, 1, 2);
         let mut f2 = || models::tiny_cnn(3, &mut SeedRng::new(9));
-        let ls = crate::algorithms::local_sgd::run(
-            &mut f2,
-            &train,
-            &test,
-            &cfg,
-            1,
-            TSchedule::Fixed { t: 2 },
-        );
+        let algo = Algorithm::LocalSgd {
+            p: 1,
+            schedule: TSchedule::Fixed { t: 2 },
+        };
+        let ls = crate::train(&mut f2, &train, &test, &algo, &cfg);
         let a = da.final_params.expect("params");
         let b = ls.final_params.expect("params");
         assert_eq!(a.len(), b.len());

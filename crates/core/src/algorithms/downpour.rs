@@ -12,11 +12,9 @@
 //! order, with staleness driven by the jitter model's speed variation.
 
 use sasgd_data::Dataset;
-use sasgd_nn::Model;
 
-use crate::engine::{simulated, AggregationStrategy, Cadence, CommScope};
-use crate::history::History;
-use crate::trainer::{Learner, TrainConfig};
+use crate::engine::{AggregationStrategy, Cadence};
+use crate::trainer::Learner;
 
 /// Asynchronous learners around a simulated parameter server: every `T`
 /// minibatches a learner pushes `gs` (applied immediately) and pulls the
@@ -28,8 +26,6 @@ pub(crate) struct DownpourStrategy {
     staleness_gamma: bool,
     /// The parameter-server state.
     ps: Vec<f32>,
-    /// Lockstep-only: modeled PS round-trip seconds, set in `setup`.
-    round_s: f64,
 }
 
 impl DownpourStrategy {
@@ -40,7 +36,6 @@ impl DownpourStrategy {
             t,
             staleness_gamma,
             ps: Vec::new(),
-            round_s: 0.0,
         }
     }
 }
@@ -62,18 +57,12 @@ impl AggregationStrategy for DownpourStrategy {
         Cadence::EventDriven
     }
 
-    fn comm_scope(&self) -> CommScope {
-        CommScope::Individual
-    }
-
     fn sync_interval(&self) -> usize {
         self.t
     }
 
-    fn setup(&mut self, _factory: &mut dyn FnMut() -> Model, x0: &[f32], cfg: &TrainConfig) -> f64 {
+    fn setup(&mut self, x0: &[f32]) {
         self.ps = x0.to_vec();
-        self.round_s = cfg.cost.ps_roundtrip(x0.len(), self.p).seconds;
-        0.0
     }
 
     fn observe_staleness(&mut self, _id: usize, tau: u64, gamma: f32) -> f32 {
@@ -82,18 +71,6 @@ impl AggregationStrategy for DownpourStrategy {
             gamma / (1.0 + tau as f32)
         } else {
             gamma
-        }
-    }
-
-    fn sync(&mut self, learners: &mut [Learner], gamma_now: f32) {
-        // Lockstep Downpour: the same push/pull math, executed as a
-        // bulk-synchronous round in rank order (τ = 0 by construction).
-        let t_max = learners.iter().map(|l| l.clock).fold(0.0, f64::max);
-        for (id, l) in learners.iter_mut().enumerate() {
-            let gamma_eff = self.observe_staleness(id, 0, gamma_now);
-            let wait = t_max - l.clock;
-            self.event_sync_inner(l, gamma_eff);
-            l.charge_comm(wait + self.round_s);
         }
     }
 
@@ -107,16 +84,10 @@ impl AggregationStrategy for DownpourStrategy {
     ) {
         // Local SGD step against the parameters pulled at the previous
         // sync; wall-clock time is accounted by the block event itself.
-        l.local_step(data, idx, gamma, 0.0, 1.0);
+        l.local_step(data, idx, gamma);
     }
 
     fn event_sync(&mut self, l: &mut Learner, _id: usize, gamma: f32) {
-        self.event_sync_inner(l, gamma);
-    }
-}
-
-impl DownpourStrategy {
-    fn event_sync_inner(&mut self, l: &mut Learner, gamma: f32) {
         // Push: the server applies the accumulated gradient at once.
         for (x, &g) in self.ps.iter_mut().zip(&l.gs) {
             *x -= gamma * g;
@@ -127,27 +98,32 @@ impl DownpourStrategy {
     }
 }
 
-/// Run Downpour.
-pub(crate) fn run(
-    factory: &mut dyn FnMut() -> Model,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    cfg: &TrainConfig,
-    p: usize,
-    t: usize,
-    staleness_gamma: bool,
-) -> History {
-    let mut s = DownpourStrategy::new(p, t, staleness_gamma);
-    simulated::run_auto(&mut s, factory, train_set, test_set, cfg)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{train, Algorithm, History, TrainConfig};
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
-    use sasgd_nn::models;
+    use sasgd_data::Dataset;
+    use sasgd_nn::{models, Model};
     use sasgd_simnet::JitterModel;
     use sasgd_tensor::SeedRng;
+
+    /// Downpour on the simulated backend.
+    fn run(
+        factory: &mut dyn FnMut() -> Model,
+        train_set: &Dataset,
+        test_set: &Dataset,
+        cfg: &TrainConfig,
+        p: usize,
+        t: usize,
+        staleness_gamma: bool,
+    ) -> History {
+        let algo = Algorithm::Downpour {
+            p,
+            t,
+            staleness_gamma,
+        };
+        train(factory, train_set, test_set, &algo, cfg)
+    }
 
     #[test]
     fn single_learner_downpour_learns() {

@@ -18,11 +18,9 @@
 //! by virtual time.
 
 use sasgd_data::Dataset;
-use sasgd_nn::Model;
 
-use crate::engine::{simulated, AggregationStrategy, Cadence, CommScope};
-use crate::history::History;
-use crate::trainer::{Learner, TrainConfig};
+use crate::engine::{AggregationStrategy, Cadence};
+use crate::trainer::Learner;
 
 /// Asynchronous momentum-SGD replicas elastically coupled to a center
 /// variable.
@@ -39,8 +37,6 @@ pub(crate) struct EamsgdStrategy {
     center: Vec<f32>,
     /// Per-learner momentum buffers.
     velocities: Vec<Vec<f32>>,
-    /// Lockstep-only: modeled PS round-trip seconds, set in `setup`.
-    round_s: f64,
 }
 
 impl EamsgdStrategy {
@@ -64,7 +60,6 @@ impl EamsgdStrategy {
             last_tau: 0,
             center: Vec::new(),
             velocities: Vec::new(),
-            round_s: 0.0,
         }
     }
 
@@ -97,19 +92,13 @@ impl AggregationStrategy for EamsgdStrategy {
         Cadence::EventDriven
     }
 
-    fn comm_scope(&self) -> CommScope {
-        CommScope::Individual
-    }
-
     fn sync_interval(&self) -> usize {
         self.t
     }
 
-    fn setup(&mut self, _factory: &mut dyn FnMut() -> Model, x0: &[f32], cfg: &TrainConfig) -> f64 {
+    fn setup(&mut self, x0: &[f32]) {
         self.center = x0.to_vec();
         self.velocities = vec![vec![0.0; x0.len()]; self.p];
-        self.round_s = cfg.cost.ps_roundtrip(x0.len(), self.p).seconds;
-        0.0
     }
 
     fn observe_staleness(&mut self, _id: usize, tau: u64, gamma: f32) -> f32 {
@@ -119,18 +108,6 @@ impl AggregationStrategy for EamsgdStrategy {
             gamma / (1.0 + tau as f32)
         } else {
             gamma
-        }
-    }
-
-    fn sync(&mut self, learners: &mut [Learner], _gamma_now: f32) {
-        // Lockstep EAMSGD: the same elastic exchange, executed as a
-        // bulk-synchronous round in rank order (τ = 0 by construction).
-        let t_max = learners.iter().map(|l| l.clock).fold(0.0, f64::max);
-        self.last_tau = 0;
-        for l in learners.iter_mut() {
-            let wait = t_max - l.clock;
-            self.exchange(l);
-            l.charge_comm(wait + self.round_s);
         }
     }
 
@@ -153,14 +130,8 @@ impl AggregationStrategy for EamsgdStrategy {
         l.model.write_params(&params);
     }
 
-    fn event_sync(&mut self, l: &mut Learner, _id: usize, _gamma: f32) {
-        self.exchange(l);
-    }
-}
-
-impl EamsgdStrategy {
     /// Elastic exchange with the center at the current effective rate.
-    fn exchange(&mut self, l: &mut Learner) {
+    fn event_sync(&mut self, l: &mut Learner, _id: usize, _gamma: f32) {
         let alpha = self.alpha_eff();
         let mut params = l.model.param_vector();
         for (pi, ci) in params.iter_mut().zip(self.center.iter_mut()) {
@@ -172,30 +143,37 @@ impl EamsgdStrategy {
     }
 }
 
-/// Run EAMSGD.
-#[allow(clippy::too_many_arguments)] // mirrors the Eamsgd variant's fields
-pub(crate) fn run(
-    factory: &mut dyn FnMut() -> Model,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    cfg: &TrainConfig,
-    p: usize,
-    t: usize,
-    moving_rate: Option<f32>,
-    momentum: f32,
-    staleness_gamma: bool,
-) -> History {
-    let mut s = EamsgdStrategy::new(p, t, moving_rate, momentum, staleness_gamma);
-    simulated::run_auto(&mut s, factory, train_set, test_set, cfg)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{train, Algorithm, History, TrainConfig};
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
-    use sasgd_nn::models;
+    use sasgd_data::Dataset;
+    use sasgd_nn::{models, Model};
     use sasgd_simnet::JitterModel;
     use sasgd_tensor::SeedRng;
+
+    /// EAMSGD on the simulated backend.
+    #[allow(clippy::too_many_arguments)] // mirrors the Eamsgd variant's fields
+    fn run(
+        factory: &mut dyn FnMut() -> Model,
+        train_set: &Dataset,
+        test_set: &Dataset,
+        cfg: &TrainConfig,
+        p: usize,
+        t: usize,
+        moving_rate: Option<f32>,
+        momentum: f32,
+        staleness_gamma: bool,
+    ) -> History {
+        let algo = Algorithm::Eamsgd {
+            p,
+            t,
+            moving_rate,
+            momentum,
+            staleness_gamma,
+        };
+        train(factory, train_set, test_set, &algo, cfg)
+    }
 
     #[test]
     fn learns_tiny_cifar_with_two_learners() {

@@ -20,17 +20,19 @@
 //! granularity. The interesting regime is `t_global > 1`: global traffic
 //! drops by `t_global×` while staleness across groups stays explicitly
 //! bounded by `t_local · t_global`.
+//!
+//! The exchange is the rank program's
+//! [`EventOp::Hierarchical`](crate::engine::rank::EventOp::Hierarchical)
+//! over a global, a group and a leader world, on both backends; the
+//! level-2 average is taken in rank order at the first leader, so the
+//! backends agree bitwise at any group count.
 
-use sasgd_data::Dataset;
-use sasgd_nn::Model;
-
-use crate::algorithms::GammaP;
-use crate::engine::{simulated, AggregationStrategy};
-use crate::history::{History, StalenessStats};
-use crate::trainer::{Learner, TrainConfig};
+use crate::engine::AggregationStrategy;
+use crate::history::StalenessStats;
 
 /// Speed advantage of the intra-group fabric over the global GPU fabric
-/// (learners in a group share a device or PCIe switch).
+/// (learners in a group share a device or PCIe switch): the simulated
+/// backend divides every group message's link time by it.
 pub(crate) const LOCAL_FABRIC_SPEEDUP: f64 = 8.0;
 
 /// Two-level SASGD over `groups × per_group` learners.
@@ -39,23 +41,10 @@ pub(crate) struct HierarchicalStrategy {
     per_group: usize,
     t_local: usize,
     t_global: usize,
-    gamma_p: GammaP,
-    /// One parameter copy per group (level-1 state).
-    group_x: Vec<Vec<f32>>,
-    /// Level-1 rounds since the last level-2 averaging.
-    local_rounds: usize,
-    local_ar: f64,
-    global_ar: f64,
 }
 
 impl HierarchicalStrategy {
-    pub(crate) fn new(
-        groups: usize,
-        per_group: usize,
-        t_local: usize,
-        t_global: usize,
-        gamma_p: GammaP,
-    ) -> Self {
+    pub(crate) fn new(groups: usize, per_group: usize, t_local: usize, t_global: usize) -> Self {
         assert!(groups >= 1 && per_group >= 1, "need at least one learner");
         assert!(t_local >= 1 && t_global >= 1, "intervals must be positive");
         HierarchicalStrategy {
@@ -63,11 +52,6 @@ impl HierarchicalStrategy {
             per_group,
             t_local,
             t_global,
-            gamma_p,
-            group_x: Vec::new(),
-            local_rounds: 0,
-            local_ar: 0.0,
-            global_ar: 0.0,
         }
     }
 }
@@ -92,31 +76,6 @@ impl AggregationStrategy for HierarchicalStrategy {
         self.t_local * self.t_global
     }
 
-    fn setup(&mut self, _factory: &mut dyn FnMut() -> Model, x0: &[f32], cfg: &TrainConfig) -> f64 {
-        let m = x0.len();
-        self.group_x = (0..self.groups).map(|_| x0.to_vec()).collect();
-        self.local_ar = cfg.cost.allreduce_tree(m, self.per_group).seconds / LOCAL_FABRIC_SPEEDUP;
-        self.global_ar = cfg.cost.allreduce_tree(m, self.groups).seconds;
-        cfg.cost.broadcast(m, self.p())
-    }
-
-    fn sync(&mut self, learners: &mut [Learner], gamma_now: f32) {
-        let gp = self.gamma_p.resolve(gamma_now, self.per_group);
-        level1(
-            learners,
-            &mut self.group_x,
-            self.groups,
-            self.per_group,
-            gp,
-            self.local_ar,
-        );
-        self.local_rounds += 1;
-        if self.local_rounds == self.t_global {
-            level2(learners, &mut self.group_x, self.per_group, self.global_ar);
-            self.local_rounds = 0;
-        }
-    }
-
     fn staleness(&self, syncs: u64) -> Option<StalenessStats> {
         let bound = (self.t_local * self.t_global) as f64;
         Some(StalenessStats {
@@ -127,83 +86,37 @@ impl AggregationStrategy for HierarchicalStrategy {
     }
 }
 
-/// Level-1: per-group barrier + allreduce of `gs`, group step, resync.
-fn level1(
-    learners: &mut [Learner],
-    group_x: &mut [Vec<f32>],
-    groups: usize,
-    per_group: usize,
-    gamma_p: f32,
-    local_ar_seconds: f64,
-) {
-    for g in 0..groups {
-        let members = &mut learners[g * per_group..(g + 1) * per_group];
-        let t_max = members.iter().map(|l| l.clock).fold(0.0_f64, f64::max);
-        // Binomial-tree-order sum of the members' gs.
-        let bufs: Vec<Vec<f32>> = members.iter().map(|l| l.gs.clone()).collect();
-        let total = crate::engine::tree_reduce(bufs);
-        for (xi, &gv) in group_x[g].iter_mut().zip(&total) {
-            *xi -= gamma_p * gv;
-        }
-        for l in members.iter_mut() {
-            let wait = t_max - l.clock;
-            l.charge_comm(wait + local_ar_seconds);
-            l.model.write_params(&group_x[g]);
-            l.gs.iter_mut().for_each(|gv| *gv = 0.0);
-        }
-    }
-}
-
-/// Level-2: global barrier + model averaging across the group copies.
-fn level2(
-    learners: &mut [Learner],
-    group_x: &mut [Vec<f32>],
-    per_group: usize,
-    global_ar_seconds: f64,
-) {
-    let groups = group_x.len();
-    let t_max = learners.iter().map(|l| l.clock).fold(0.0_f64, f64::max);
-    let m = group_x[0].len();
-    let mut avg = vec![0.0f32; m];
-    for gx in group_x.iter() {
-        for (a, &b) in avg.iter_mut().zip(gx) {
-            *a += b / groups as f32;
-        }
-    }
-    for gx in group_x.iter_mut() {
-        gx.copy_from_slice(&avg);
-    }
-    for (id, l) in learners.iter_mut().enumerate() {
-        let wait = t_max - l.clock;
-        l.charge_comm(wait + global_ar_seconds);
-        l.model.write_params(&group_x[id / per_group]);
-    }
-}
-
-/// Run hierarchical SASGD with `groups × per_group` learners.
-#[allow(clippy::too_many_arguments)] // mirrors the algorithm's parameter set
-pub(crate) fn run(
-    factory: &mut dyn FnMut() -> Model,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    cfg: &TrainConfig,
-    groups: usize,
-    per_group: usize,
-    t_local: usize,
-    t_global: usize,
-    gamma_p: GammaP,
-) -> History {
-    let mut s = HierarchicalStrategy::new(groups, per_group, t_local, t_global, gamma_p);
-    simulated::run_auto(&mut s, factory, train_set, test_set, cfg)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{train, Algorithm, GammaP, History, TrainConfig};
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
-    use sasgd_nn::models;
+    use sasgd_data::Dataset;
+    use sasgd_nn::{models, Model};
     use sasgd_simnet::JitterModel;
     use sasgd_tensor::SeedRng;
+
+    /// Hierarchical SASGD on the simulated backend.
+    #[allow(clippy::too_many_arguments)] // mirrors the Algorithm variant's fields
+    fn run(
+        factory: &mut dyn FnMut() -> Model,
+        train_set: &Dataset,
+        test_set: &Dataset,
+        cfg: &TrainConfig,
+        groups: usize,
+        per_group: usize,
+        t_local: usize,
+        t_global: usize,
+        gamma_p: GammaP,
+    ) -> History {
+        let algo = Algorithm::HierarchicalSasgd {
+            groups,
+            per_group,
+            t_local,
+            t_global,
+            gamma_p,
+        };
+        train(factory, train_set, test_set, &algo, cfg)
+    }
 
     fn quiet_cfg(epochs: usize, gamma: f32) -> TrainConfig {
         let mut cfg = TrainConfig::new(epochs, 8, gamma, 42);
@@ -213,13 +126,13 @@ mod tests {
 
     #[test]
     fn single_group_equals_flat_sasgd() {
-        let (train, test) = generate(&CifarLikeConfig::tiny(128, 32, 3));
+        let (train_set, test) = generate(&CifarLikeConfig::tiny(128, 32, 3));
         let cfg = quiet_cfg(3, 0.05);
         let mut f1 = || models::tiny_cnn(3, &mut SeedRng::new(5));
-        let flat =
-            crate::algorithms::sasgd::run(&mut f1, &train, &test, &cfg, 4, 2, GammaP::OverP, None);
+        let algo = Algorithm::sasgd(4, 2, GammaP::OverP);
+        let flat = train(&mut f1, &train_set, &test, &algo, &cfg);
         let mut f2 = || models::tiny_cnn(3, &mut SeedRng::new(5));
-        let hier = run(&mut f2, &train, &test, &cfg, 1, 4, 2, 3, GammaP::OverP);
+        let hier = run(&mut f2, &train_set, &test, &cfg, 1, 4, 2, 3, GammaP::OverP);
         for (a, b) in flat.records.iter().zip(&hier.records) {
             assert_eq!(
                 a.train_loss, b.train_loss,
@@ -227,39 +140,6 @@ mod tests {
             );
             assert_eq!(a.test_acc, b.test_acc);
         }
-    }
-
-    #[test]
-    fn hierarchical_learns_and_spends_less_on_global_comm() {
-        let (train, test) = generate(&CifarLikeConfig::tiny(160, 60, 3));
-        let cfg = quiet_cfg(8, 0.05);
-        // Flat SASGD at T=2 vs hierarchy: local sync every 2 steps, global
-        // every 4 local rounds.
-        let mut f1 = || models::tiny_cnn(3, &mut SeedRng::new(7));
-        let flat =
-            crate::algorithms::sasgd::run(&mut f1, &train, &test, &cfg, 4, 2, GammaP::OverP, None);
-        let mut f2 = || models::tiny_cnn(3, &mut SeedRng::new(7));
-        let hier = run(&mut f2, &train, &test, &cfg, 2, 2, 2, 4, GammaP::OverP);
-        assert!(
-            hier.final_test_acc() > 0.5,
-            "acc {:.2}",
-            hier.final_test_acc()
-        );
-        // Accuracy should be in the same league as flat SASGD...
-        assert!(
-            hier.final_test_acc() > flat.final_test_acc() - 0.2,
-            "hier {:.2} vs flat {:.2}",
-            hier.final_test_acc(),
-            flat.final_test_acc()
-        );
-        // ...while the observed learner communicates less (cheap local
-        // rounds replace most global ones).
-        let flat_comm = flat.records.last().expect("r").comm_seconds;
-        let hier_comm = hier.records.last().expect("r").comm_seconds;
-        assert!(
-            hier_comm < flat_comm,
-            "hier comm {hier_comm} vs flat {flat_comm}"
-        );
     }
 
     #[test]

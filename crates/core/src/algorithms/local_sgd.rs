@@ -14,28 +14,19 @@
 //! `T` when that signal plateaus — communicating less as training
 //! stabilizes. Since `T` only grows, the adaptive run never aggregates
 //! more often than `Fixed { t: t0 }` over the same number of steps.
+//!
+//! The exchange is the rank program's
+//! [`EventOp::ParamAverage`](crate::engine::rank::EventOp::ParamAverage):
+//! a tree allreduce of the parameters scaled by `1/p`, whose displacement
+//! from the previous average is the sync signal.
 
-use sasgd_data::Dataset;
-use sasgd_nn::Model;
-
-use crate::engine::{delta_sq_norm, simulated, tree_reduce, AggregationStrategy, Cadence};
-use crate::history::{History, WireStats};
+use crate::engine::{AggregationStrategy, Cadence};
 use crate::schedule::{SyncPolicy, TSchedule};
-use crate::trainer::{Learner, TrainConfig};
 
 /// Periodic parameter averaging with a fixed or adaptive interval.
 pub(crate) struct LocalSgdStrategy {
     p: usize,
     schedule: TSchedule,
-    /// The average written at the previous round (x0 before any round) —
-    /// baseline for the displacement signal.
-    prev_avg: Vec<f32>,
-    /// Signal from the latest round, consumed by [`Self::sync_signal`].
-    last_signal: Option<f32>,
-    /// Cost of one dense parameter allreduce.
-    ar_seconds: f64,
-    /// Parameter count (for wire accounting).
-    m: usize,
 }
 
 impl LocalSgdStrategy {
@@ -44,21 +35,7 @@ impl LocalSgdStrategy {
         if let TSchedule::Fixed { t } = schedule {
             assert!(t >= 1, "Local SGD needs T >= 1");
         }
-        LocalSgdStrategy {
-            p,
-            schedule,
-            prev_avg: Vec::new(),
-            last_signal: None,
-            ar_seconds: 0.0,
-            m: 0,
-        }
-    }
-
-    fn initial_t(&self) -> usize {
-        match self.schedule {
-            TSchedule::Fixed { t } => t,
-            TSchedule::AdaptivePlateau { t0, .. } => t0,
-        }
+        LocalSgdStrategy { p, schedule }
     }
 }
 
@@ -80,106 +57,38 @@ impl AggregationStrategy for LocalSgdStrategy {
     }
 
     fn sync_interval(&self) -> usize {
-        self.initial_t()
+        match self.schedule {
+            TSchedule::Fixed { t } => t,
+            TSchedule::AdaptivePlateau { t0, .. } => t0,
+        }
     }
 
     fn sync_policy(&self) -> SyncPolicy {
         SyncPolicy::new(self.schedule)
     }
-
-    fn setup(&mut self, _factory: &mut dyn FnMut() -> Model, x0: &[f32], cfg: &TrainConfig) -> f64 {
-        self.m = x0.len();
-        self.prev_avg = x0.to_vec();
-        self.ar_seconds = cfg.cost.allreduce_tree(self.m, self.p).seconds;
-        // Replicas start identical from the shared factory — no broadcast,
-        // matching the threaded ParamAverage runner.
-        0.0
-    }
-
-    fn local_step(
-        &mut self,
-        l: &mut Learner,
-        _id: usize,
-        data: &Dataset,
-        idx: &[usize],
-        gamma: f32,
-        step_s: f64,
-        jitter: f64,
-    ) {
-        l.local_step(data, idx, gamma, step_s, jitter);
-        // Averaging consumes parameters, not gradients: keep gs empty.
-        l.gs.iter_mut().for_each(|g| *g = 0.0);
-    }
-
-    fn on_local_step(
-        &mut self,
-        l: &mut Learner,
-        _id: usize,
-        data: &Dataset,
-        idx: &[usize],
-        gamma: f32,
-    ) {
-        l.local_step(data, idx, gamma, 0.0, 1.0);
-        l.gs.iter_mut().for_each(|g| *g = 0.0);
-    }
-
-    fn sync(&mut self, learners: &mut [Learner], _gamma_now: f32) {
-        // Barrier: averaging waits for the slowest learner, like SASGD's
-        // aggregation.
-        let t_max = learners.iter().map(|l| l.clock).fold(0.0_f64, f64::max);
-        // Sum replicas in binomial-tree order (the sasgd-comm allreduce
-        // order) and scale by the reciprocal — the exact float sequence of
-        // the threaded backend's ParamAverage op, so p-way runs stay
-        // bitwise equal across backends.
-        let bufs: Vec<Vec<f32>> = learners.iter().map(|l| l.model.param_vector()).collect();
-        let mut avg = tree_reduce(bufs);
-        let inv = 1.0 / self.p as f32;
-        avg.iter_mut().for_each(|v| *v *= inv);
-        self.last_signal = Some(delta_sq_norm(&avg, &self.prev_avg));
-        for l in learners.iter_mut() {
-            let wait = t_max - l.clock;
-            l.charge_comm(wait + self.ar_seconds);
-            l.model.write_params(&avg);
-            l.gs.iter_mut().for_each(|g| *g = 0.0);
-        }
-        self.prev_avg = avg;
-    }
-
-    fn sync_signal(&mut self) -> Option<f32> {
-        self.last_signal.take()
-    }
-
-    fn wire(&self, syncs: u64) -> Option<WireStats> {
-        // One dense tree allreduce per averaging round: 2(p−1) messages of
-        // m elements each. No initial broadcast (replicas start identical).
-        let p1 = (self.p - 1) as u64;
-        Some(WireStats {
-            elements: 2 * p1 * self.m as u64 * syncs,
-            messages: 2 * p1 * syncs,
-        })
-    }
-}
-
-/// Run Local SGD on the simulated backend under the event-driven engine.
-pub(crate) fn run(
-    factory: &mut dyn FnMut() -> Model,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    cfg: &TrainConfig,
-    p: usize,
-    schedule: TSchedule,
-) -> History {
-    let mut s = LocalSgdStrategy::new(p, schedule);
-    simulated::run_auto(&mut s, factory, train_set, test_set, cfg)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{train, Algorithm, History, TSchedule, TrainConfig};
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
-    use sasgd_nn::models;
+    use sasgd_data::Dataset;
+    use sasgd_nn::{models, Model};
     use sasgd_simnet::JitterModel;
     use sasgd_tensor::SeedRng;
+
+    /// Local SGD on the simulated backend.
+    fn run(
+        factory: &mut dyn FnMut() -> Model,
+        train_set: &Dataset,
+        test_set: &Dataset,
+        cfg: &TrainConfig,
+        p: usize,
+        schedule: TSchedule,
+    ) -> History {
+        let algo = Algorithm::LocalSgd { p, schedule };
+        train(factory, train_set, test_set, &algo, cfg)
+    }
 
     fn quiet_cfg(epochs: usize, gamma: f32) -> TrainConfig {
         let mut cfg = TrainConfig::new(epochs, 8, gamma, 42);
@@ -240,14 +149,5 @@ mod tests {
             adaptive.sync_rounds < fixed.sync_rounds,
             "plateau schedule should have grown T"
         );
-    }
-
-    #[test]
-    fn signal_is_emitted_and_consumed() {
-        let mut s = LocalSgdStrategy::new(1, TSchedule::Fixed { t: 1 });
-        assert_eq!(s.sync_signal(), None);
-        s.last_signal = Some(0.25);
-        assert_eq!(s.sync_signal(), Some(0.25));
-        assert_eq!(s.sync_signal(), None, "take() semantics");
     }
 }

@@ -7,88 +7,35 @@
 //! continuing from the common `x`. The interval `T` amortizes the
 //! communication; the allreduce replaces the parameter server.
 //!
-//! Bulk-synchrony means each aggregation waits for the slowest learner —
-//! the straggler penalty is charged to every learner's virtual clock as
-//! communication (wait) time, matching how the paper measures "time spent
-//! in communication" from a learner's perspective.
+//! The exchange is the rank program's
+//! [`EventOp::Gradient`](crate::engine::rank::EventOp::Gradient), on both
+//! backends. Bulk-synchrony means each aggregation waits for the slowest
+//! learner; on the simulated backend that wait is virtual time the
+//! allreduce's receives charge, so it counts as communication from a
+//! learner's perspective, as the paper measures "time spent in
+//! communication".
 //!
 //! With `compression`, each learner's accumulated gradient is compressed
-//! (with error feedback) before the allreduce; the aggregation cost is
-//! priced by the compressor's wire size, and on the threaded backend TopK
-//! payloads actually travel sparse.
+//! (with error feedback) before the allreduce and travels in the scheme's
+//! wire format, so the counted traffic (and the simulated link time) falls
+//! with the payload.
 
-use sasgd_comm::sparse::{tree_combine_bounded, SparseLevelProfile, SparseVec};
-use sasgd_data::Dataset;
-use sasgd_nn::Model;
-
-use crate::algorithms::GammaP;
-use crate::compress::{Compression, KState};
-use crate::engine::{simulated, AggregationStrategy};
-use crate::history::{History, SparsitySample, StalenessStats, WireStats, MAX_SPARSITY_SAMPLES};
-use crate::trainer::{Learner, TrainConfig};
+use crate::compress::Compression;
+use crate::engine::AggregationStrategy;
+use crate::history::StalenessStats;
 
 /// Algorithm 1 with optional compressed aggregation.
 pub(crate) struct SasgdStrategy {
     p: usize,
     t: usize,
-    gamma_p: GammaP,
     compression: Option<Compression>,
-    /// The shared (pre-interval) parameter vector `x`.
-    x: Vec<f32>,
-    /// Error-feedback residuals, one per learner, carried across intervals.
-    residuals: Vec<Vec<f32>>,
-    /// Per-learner k-schedule state (compressed runs only).
-    kstates: Vec<KState>,
-    /// Per-sync compression telemetry, drained into [`History`].
-    samples: Vec<SparsitySample>,
-    /// Accumulated per-tree-level wire profile (sparse aggregation only) —
-    /// the exact element counts the threaded backend's counters measure.
-    profile: SparseLevelProfile,
-    /// Sync rounds completed.
-    rounds: u64,
-    /// Cost of one (possibly compressed) allreduce.
-    ar_seconds: f64,
-    /// Parameter count (for wire accounting).
-    m: usize,
 }
 
 impl SasgdStrategy {
-    pub(crate) fn new(
-        p: usize,
-        t: usize,
-        gamma_p: GammaP,
-        compression: Option<Compression>,
-    ) -> Self {
+    pub(crate) fn new(p: usize, t: usize, compression: Option<Compression>) -> Self {
         assert!(p >= 1, "need at least one learner");
         assert!(t >= 1, "aggregation interval must be positive");
-        SasgdStrategy {
-            p,
-            t,
-            gamma_p,
-            compression,
-            x: Vec::new(),
-            residuals: Vec::new(),
-            kstates: Vec::new(),
-            samples: Vec::new(),
-            profile: SparseLevelProfile::default(),
-            rounds: 0,
-            ar_seconds: 0.0,
-            m: 0,
-        }
-    }
-
-    /// Record one learner's compression outcome for the sparsity series.
-    fn push_sample(&mut self, rank: usize, k_eff: usize, residual_norm: f64) {
-        if self.samples.len() < MAX_SPARSITY_SAMPLES {
-            self.samples.push(SparsitySample {
-                round: self.rounds,
-                rank,
-                k_eff,
-                // lint:allow(float-cast): telemetry narrowing — the norm is
-                // accumulated in f64 for order-stability, reported in f32.
-                residual_norm: residual_norm as f32,
-            });
-        }
+        SasgdStrategy { p, t, compression }
     }
 }
 
@@ -109,103 +56,6 @@ impl AggregationStrategy for SasgdStrategy {
         self.t
     }
 
-    fn setup(&mut self, factory: &mut dyn FnMut() -> Model, x0: &[f32], cfg: &TrainConfig) -> f64 {
-        self.m = x0.len();
-        self.x = x0.to_vec();
-        self.ar_seconds = match self.compression {
-            Some(c) => {
-                cfg.cost
-                    .allreduce_tree_elements(c.wire_elements(self.m), self.p)
-                    .seconds
-            }
-            None => cfg.cost.allreduce_tree(self.m, self.p).seconds,
-        };
-        if let Some(c) = self.compression {
-            self.residuals = (0..self.p).map(|_| vec![0.0f32; self.m]).collect();
-            // The layer-wise schedule needs the model's parameter-block
-            // map; one throwaway replica yields the layout.
-            let blocks = if matches!(c, Compression::Sparse { .. }) {
-                factory().param_blocks()
-            } else {
-                Vec::new()
-            };
-            self.kstates = (0..self.p)
-                .map(|_| KState::new(&c, blocks.clone()))
-                .collect();
-        }
-        cfg.cost.broadcast(self.m, self.p)
-    }
-
-    fn sync(&mut self, learners: &mut [Learner], gamma_now: f32) {
-        let gp = self.gamma_p.resolve(gamma_now, self.p);
-        self.rounds += 1; // 1-based, matching the threaded backend's rounds
-        match self.compression {
-            Some(
-                comp @ Compression::Sparse {
-                    q8, union_bound, ..
-                },
-            ) => {
-                // Sparse aggregation: compress per learner, combine in the
-                // wire collective's order via the in-memory mirror, fold
-                // trim spills back into the rank-local residuals.
-                let t_max = learners.iter().map(|l| l.clock).fold(0.0_f64, f64::max);
-                let p = learners.len();
-                let mut svs = Vec::with_capacity(p);
-                let mut bounds = Vec::with_capacity(p);
-                for (r, l) in learners.iter().enumerate() {
-                    let input: Vec<f32> =
-                        l.gs.iter()
-                            .zip(self.residuals[r].iter())
-                            .map(|(a, b)| a + b)
-                            .collect();
-                    let c = comp.compress_with(&input, &mut self.kstates[r]);
-                    self.residuals[r] = c.residual;
-                    self.push_sample(r, c.k_eff, c.residual_norm);
-                    bounds.push(if union_bound { Some(c.k_budget) } else { None });
-                    svs.push(SparseVec::from_dense(&c.dense));
-                }
-                let (total, spills, profile) = tree_combine_bounded(svs, q8, &bounds);
-                self.profile.merge(&profile);
-                for (res, spill) in self.residuals.iter_mut().zip(&spills) {
-                    for (&i, &v) in spill.idx.iter().zip(&spill.val) {
-                        res[i as usize] += v;
-                    }
-                }
-                let g = total.to_dense();
-                for (xi, &gv) in self.x.iter_mut().zip(&g) {
-                    *xi -= gp * gv;
-                }
-                for l in learners.iter_mut() {
-                    let wait = t_max - l.clock;
-                    l.charge_comm(wait + self.ar_seconds);
-                    l.model.write_params(&self.x);
-                    l.gs.iter_mut().for_each(|g| *g = 0.0);
-                }
-            }
-            _ => {
-                let outcomes = aggregate(
-                    learners,
-                    &mut self.x,
-                    gp,
-                    self.ar_seconds,
-                    self.compression,
-                    &mut self.residuals,
-                );
-                for (r, (k_eff, residual_norm)) in outcomes.into_iter().enumerate() {
-                    self.push_sample(r, k_eff, residual_norm);
-                }
-            }
-        }
-    }
-
-    fn sparsity_series(&mut self) -> Vec<SparsitySample> {
-        std::mem::take(&mut self.samples)
-    }
-
-    fn sparse_levels(&self) -> SparseLevelProfile {
-        self.profile.clone()
-    }
-
     fn staleness(&self, syncs: u64) -> Option<StalenessStats> {
         // SASGD's staleness is T by construction — record it so staleness
         // reports can compare against the measured async distributions.
@@ -215,113 +65,15 @@ impl AggregationStrategy for SasgdStrategy {
             pushes: syncs,
         })
     }
-
-    fn wire(&self, syncs: u64) -> Option<WireStats> {
-        // The analytic counterpart of the threaded backend's counters:
-        // one broadcast of x0 ((p−1)·m elements over p−1 messages) plus,
-        // per aggregation, a tree allreduce. Dense, Uniform8Bit, and
-        // Sparse are *exact* (dense and Uniform8Bit from the closed-form
-        // round cost, Sparse from the accumulated per-level profile);
-        // TopK keeps the documented full-k estimate.
-        let p1 = (self.p - 1) as u64;
-        let bcast = p1 * self.m as u64;
-        match self.compression {
-            None => Some(WireStats {
-                elements: bcast + 2 * p1 * self.m as u64 * syncs,
-                messages: p1 + 2 * p1 * syncs,
-            }),
-            Some(c @ Compression::Uniform8Bit) => {
-                let (round, _) = c.round_wire_bounds(self.m, self.p);
-                Some(WireStats {
-                    elements: bcast + round * syncs,
-                    messages: p1 + 2 * p1 * syncs,
-                })
-            }
-            Some(Compression::Sparse { .. }) => Some(WireStats {
-                elements: bcast + self.profile.total_elements(),
-                messages: p1 + self.profile.total_messages(),
-            }),
-            Some(c @ Compression::TopK { .. }) => {
-                let per_ar = c.wire_elements(self.m);
-                Some(WireStats {
-                    // lint:allow(float-cast): wire accounting — element
-                    // counts are integers well below 2^53, so the f64
-                    // round-trip is exact.
-                    elements: bcast + 2 * p1 * (per_ar * syncs as f64) as u64,
-                    messages: p1 + 2 * p1 * syncs,
-                })
-            }
-        }
-    }
-}
-
-/// One global aggregation: barrier (wait for the slowest learner),
-/// allreduce of the (optionally compressed) accumulated gradients, global
-/// step, redistribution. Returns each learner's `(k_eff, residual_norm)`
-/// compression outcome (empty when uncompressed).
-pub(crate) fn aggregate(
-    learners: &mut [Learner],
-    x: &mut [f32],
-    gamma_p: f32,
-    allreduce_seconds: f64,
-    compression: Option<Compression>,
-    residuals: &mut [Vec<f32>],
-) -> Vec<(usize, f64)> {
-    let t_max = learners.iter().map(|l| l.clock).fold(0.0_f64, f64::max);
-    let mut outcomes = Vec::new();
-    // Sum gs across learners in binomial-tree order — the exact reduction
-    // order of sasgd-comm's allreduce, so the threaded backend reproduces
-    // these parameters bit for bit.
-    let bufs: Vec<Vec<f32>> = match compression {
-        None => learners.iter().map(|l| l.gs.clone()).collect(),
-        Some(comp) => learners
-            .iter()
-            .zip(residuals.iter_mut())
-            .map(|(l, res)| {
-                let input: Vec<f32> = l.gs.iter().zip(res.iter()).map(|(a, b)| a + b).collect();
-                let c = comp.compress(&input);
-                *res = c.residual;
-                outcomes.push((c.k_eff, c.residual_norm));
-                c.dense
-            })
-            .collect(),
-    };
-    let total = crate::engine::tree_reduce(bufs);
-    for (xi, &g) in x.iter_mut().zip(&total) {
-        *xi -= gamma_p * g;
-    }
-    for l in learners.iter_mut() {
-        let wait = t_max - l.clock;
-        l.charge_comm(wait + allreduce_seconds);
-        l.model.write_params(x);
-        l.gs.iter_mut().for_each(|g| *g = 0.0);
-    }
-    outcomes
-}
-
-/// Run SASGD on the simulated backend. `T = 1` is classic bulk-synchronous
-/// SGD; `p = 1` degrades to sequential SGD (with the global step folded
-/// in).
-#[allow(clippy::too_many_arguments)] // mirrors the Algorithm variant's fields
-pub(crate) fn run(
-    factory: &mut dyn FnMut() -> Model,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    cfg: &TrainConfig,
-    p: usize,
-    t: usize,
-    gamma_p: GammaP,
-    compression: Option<Compression>,
-) -> History {
-    let mut s = SasgdStrategy::new(p, t, gamma_p, compression);
-    simulated::run_auto(&mut s, factory, train_set, test_set, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{train, Algorithm, GammaP, History, TrainConfig};
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
-    use sasgd_nn::models;
+    use sasgd_data::Dataset;
+    use sasgd_nn::{models, Model};
     use sasgd_simnet::JitterModel;
     use sasgd_tensor::SeedRng;
 
@@ -329,6 +81,27 @@ mod tests {
         let mut cfg = TrainConfig::new(epochs, 8, gamma, 42);
         cfg.jitter = JitterModel::none();
         cfg
+    }
+
+    /// SASGD on the simulated backend.
+    #[allow(clippy::too_many_arguments)] // mirrors the Algorithm variant's fields
+    fn run(
+        factory: &mut dyn FnMut() -> Model,
+        train_set: &Dataset,
+        test_set: &Dataset,
+        cfg: &TrainConfig,
+        p: usize,
+        t: usize,
+        gamma_p: GammaP,
+        compression: Option<Compression>,
+    ) -> History {
+        let algo = Algorithm::Sasgd {
+            p,
+            t,
+            gamma_p,
+            compression,
+        };
+        train(factory, train_set, test_set, &algo, cfg)
     }
 
     #[test]
@@ -381,47 +154,11 @@ mod tests {
         );
         let seq_cfg = quiet_cfg(3, 0.05);
         let mut f2 = || models::tiny_cnn(2, &mut SeedRng::new(9));
-        let h_seq = crate::algorithms::sequential::run(&mut f2, &train, &test, &seq_cfg);
+        let h_seq = crate::train(&mut f2, &train, &test, &Algorithm::Sequential, &seq_cfg);
         for (a, b) in h_sasgd.records.iter().zip(&h_seq.records) {
             assert_eq!(a.train_loss, b.train_loss, "trajectories must coincide");
             assert_eq!(a.test_acc, b.test_acc);
         }
-    }
-
-    #[test]
-    fn larger_t_means_less_comm_time() {
-        // With jitter disabled every learner's virtual clock advances
-        // identically, so the barrier wait is exactly zero and learner 0's
-        // communication time must equal the initial broadcast plus one
-        // tree allreduce per aggregation — ⌊steps/T⌋ of them, where
-        // steps = epochs · ⌊(n/p)/M⌋. This pins the T-amortization claim
-        // to the cost model instead of a magic ratio.
-        let (train, test) = generate(&CifarLikeConfig::tiny(160, 20, 2));
-        let cfg = quiet_cfg(2, 0.02);
-        let p = 4;
-        let m = models::tiny_cnn(2, &mut SeedRng::new(1)).param_len();
-        let bcast = cfg.cost.broadcast(m, p);
-        let ar = cfg.cost.allreduce_tree(m, p).seconds;
-        let steps = cfg.epochs * (train.len() / p / cfg.batch_size);
-        let mut comm = Vec::new();
-        for t in [1usize, 5] {
-            let mut f = || models::tiny_cnn(2, &mut SeedRng::new(1));
-            let h = run(&mut f, &train, &test, &cfg, p, t, GammaP::OverP, None);
-            let got = h.records.last().expect("r").comm_seconds;
-            let expect = bcast + (steps / t) as f64 * ar;
-            assert!(
-                (got - expect).abs() <= 1e-9 * expect,
-                "T={t}: comm {got} should equal broadcast + {} allreduces = {expect}",
-                steps / t
-            );
-            comm.push(got);
-        }
-        assert!(
-            comm[1] < comm[0],
-            "T=5 comm {} should be below T=1 comm {}",
-            comm[1],
-            comm[0]
-        );
     }
 
     #[test]

@@ -1,22 +1,14 @@
 //! Sequential SGD — the single-learner baseline every figure compares to.
 
 use sasgd_data::{Dataset, Shard};
-use sasgd_nn::Model;
 
-use crate::engine::{simulated, AggregationStrategy};
-use crate::history::History;
-use crate::trainer::{Learner, TrainConfig};
+use crate::engine::AggregationStrategy;
+use crate::trainer::TrainConfig;
 
 /// Plain minibatch SGD on one learner: never syncs, walks the full
 /// dataset each epoch (ragged tail included), keeps no gradient
 /// accumulator.
 pub(crate) struct SequentialStrategy;
-
-impl SequentialStrategy {
-    pub(crate) fn new() -> Self {
-        SequentialStrategy
-    }
-}
 
 impl AggregationStrategy for SequentialStrategy {
     fn label(&self) -> String {
@@ -36,49 +28,11 @@ impl AggregationStrategy for SequentialStrategy {
     fn lockstep_truncates(&self) -> bool {
         false
     }
-
-    fn local_step(
-        &mut self,
-        l: &mut Learner,
-        _id: usize,
-        data: &Dataset,
-        idx: &[usize],
-        gamma: f32,
-        step_s: f64,
-        jitter: f64,
-    ) {
-        l.local_step(data, idx, gamma, step_s, jitter);
-        // Sequential SGD keeps no separate accumulator.
-        l.gs.iter_mut().for_each(|g| *g = 0.0);
-    }
-
-    fn on_local_step(
-        &mut self,
-        l: &mut Learner,
-        _id: usize,
-        data: &Dataset,
-        idx: &[usize],
-        gamma: f32,
-    ) {
-        l.local_step(data, idx, gamma, 0.0, 1.0);
-        l.gs.iter_mut().for_each(|g| *g = 0.0);
-    }
-}
-
-/// Run plain minibatch SGD on one learner.
-pub(crate) fn run(
-    factory: &mut dyn FnMut() -> Model,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    cfg: &TrainConfig,
-) -> History {
-    let mut s = SequentialStrategy::new();
-    simulated::run_auto(&mut s, factory, train_set, test_set, cfg)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{train, Algorithm, TrainConfig};
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
     use sasgd_nn::models;
     use sasgd_simnet::JitterModel;
@@ -86,11 +40,17 @@ mod tests {
 
     #[test]
     fn learns_tiny_cifar() {
-        let (train, test) = generate(&CifarLikeConfig::tiny(120, 60, 3));
+        let (train_set, test) = generate(&CifarLikeConfig::tiny(120, 60, 3));
         let mut cfg = TrainConfig::new(8, 8, 0.05, 42);
         cfg.jitter = JitterModel::none();
         let mut factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
-        let h = run(&mut factory, &train, &test, &cfg);
+        let h = train(
+            &mut factory,
+            &train_set,
+            &test,
+            &Algorithm::Sequential,
+            &cfg,
+        );
         assert_eq!(h.records.len(), 8);
         let first = h.records[0].train_loss;
         let last = h.records.last().expect("records").train_loss;
@@ -102,12 +62,12 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let (train, test) = generate(&CifarLikeConfig::tiny(40, 20, 3));
+        let (train_set, test) = generate(&CifarLikeConfig::tiny(40, 20, 3));
         let cfg = TrainConfig::new(2, 8, 0.05, 11);
         let mut f1 = || models::tiny_cnn(3, &mut SeedRng::new(5));
-        let h1 = run(&mut f1, &train, &test, &cfg);
+        let h1 = train(&mut f1, &train_set, &test, &Algorithm::Sequential, &cfg);
         let mut f2 = || models::tiny_cnn(3, &mut SeedRng::new(5));
-        let h2 = run(&mut f2, &train, &test, &cfg);
+        let h2 = train(&mut f2, &train_set, &test, &Algorithm::Sequential, &cfg);
         assert_eq!(
             h1.records.last().expect("r").train_loss,
             h2.records.last().expect("r").train_loss

@@ -571,12 +571,15 @@ impl Compression {
     /// threaded backend's traffic counters measure.
     ///
     /// For `Uniform8Bit` the count is exact (min == max). For sparse
-    /// schemes the bracket assumes each learner's frame carries its full
-    /// k budget of nonzeros (true whenever the gradient has at least k
-    /// nonzeros); the upper bound lets merged partials grow to the union
-    /// of their subtree (`subtree_size·k_max`, capped at `m`) unless the
+    /// schemes the upper bound lets merged partials grow to the union of
+    /// their subtree (`subtree_size·k_max`, capped at `m`) unless the
     /// scheme is union-bounded, in which case every level stays at
-    /// `k_max`.
+    /// `k_max`. The lower bound assumes full index overlap and, for f32
+    /// values, that each learner's frame carries its full `k_min` budget
+    /// (true whenever the gradient has at least `k_min` nonzeros). With
+    /// `q8` only the largest kept value is sure to survive — kept values
+    /// under half a quantisation step round to zero and leave the frame —
+    /// so the floor counts one entry per frame (for a nonzero gradient).
     pub fn round_wire_bounds(&self, m: usize, p: usize) -> (u64, u64) {
         if p <= 1 {
             return (0, 0);
@@ -603,6 +606,7 @@ impl Compression {
             }
             Compression::Sparse { k, q8, union_bound } => {
                 let (kmin, kmax) = k.k_bounds(m);
+                let kmin = if q8 { kmin.min(1) } else { kmin };
                 sparse_round_bounds(&levels, bcast_msgs, m, p, kmin, kmax, q8, union_bound)
             }
         }
@@ -1039,6 +1043,48 @@ mod tests {
         assert!(lo_b <= hi_b);
         // p=1: no communication at all.
         assert_eq!(fixed.round_wire_bounds(m, 1), (0, 0));
+    }
+
+    #[test]
+    fn round_wire_bounds_floor_holds_when_q8_rounds_kept_values_to_zero() {
+        // Each rank keeps k = 10 coordinates: one at 1.0 and nine at 1e-4,
+        // under half a quantisation step (1/254), so q8 ships one entry
+        // per leaf. The measured round must still sit inside the bracket.
+        use sasgd_comm::sparse::{sparse_allreduce_tree_v2, SparseTreeOpts, SparseVec};
+        use sasgd_comm::world::CommWorld;
+        let (m, p) = (200usize, 4usize);
+        let comp = Compression::Sparse {
+            k: KSchedule::fixed(0.05),
+            q8: true,
+            union_bound: false,
+        };
+        let mut world = CommWorld::new(p);
+        let traffic = world.traffic();
+        std::thread::scope(|s| {
+            for mut c in world.communicators() {
+                s.spawn(move || {
+                    let r = c.rank();
+                    let mut g = vec![0.0f32; m];
+                    g[r] = 1.0;
+                    for j in 1..10 {
+                        g[r + 10 * j] = 1e-4;
+                    }
+                    let out = comp.compress_with(&g, &mut KState::new(&comp, Vec::new()));
+                    assert_eq!(out.k_eff, 1, "the small kept values round to zero");
+                    let mut sv = SparseVec::from_dense(&out.dense);
+                    let opts = SparseTreeOpts {
+                        union_bound: None,
+                        q8_scale: out.q8_scale,
+                    };
+                    let mut profile = Default::default();
+                    sparse_allreduce_tree_v2(&mut c, &mut sv, opts, &mut profile)
+                        .expect("sparse allreduce");
+                });
+            }
+        });
+        let (lo, hi) = comp.round_wire_bounds(m, p);
+        let got = traffic.elements_sent();
+        assert!((lo..=hi).contains(&got), "{got} outside [{lo}, {hi}]");
     }
 
     #[test]

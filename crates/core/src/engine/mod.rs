@@ -1,43 +1,55 @@
 //! The unified execution engine.
 //!
 //! Every distributed algorithm in this crate is the composition of the
-//! *same* learner loop with a different aggregation rule. This module
+//! *same* learner loop with a different sync-point exchange. This module
 //! factors that observation into code:
 //!
-//! * `AggregationStrategy` — the pluggable aggregation rule. A strategy
-//!   declares its cadence (lockstep or event-driven), its sync interval,
-//!   and implements the handful of hooks where algorithms actually differ:
-//!   what a local step does, what happens at a sync point, what model is
-//!   evaluated, and what the final parameters are.
-//! * [`simulated`] — the virtual-time backend. Runs any strategy over the
-//!   `sasgd-simnet` cost model with deterministic virtual clocks,
-//!   reproducing the pre-engine per-algorithm implementations
-//!   element-for-element (pinned by `tests/engine_golden.rs`).
-//! * [`threaded`] — the real-parallelism backend. Runs strategies over OS
-//!   threads with the `sasgd-comm` collectives and parameter server,
-//!   measuring wall-clock time and actual wire traffic.
-//! * [`rank`] — the three per-rank loops the threaded backend (and the
-//!   multi-process launcher, and the model checker) runs, generic over
-//!   the transport: one collective loop for every collective strategy
-//!   under either cadence, paced by a `StepClock`; fault-tolerant SASGD;
-//!   the parameter-server learner.
+//! * `AggregationStrategy` — what the engine needs to know about an
+//!   algorithm besides its exchange: label, learner count, T policy,
+//!   sharding, imposed staleness, and the analytic staleness summary.
+//!   The collective strategies are nothing more than that descriptor; the
+//!   parameter-server strategies also keep the shared state of the
+//!   simulated event loop.
+//! * [`rank`] — the per-rank programs, generic over the transport and
+//!   reading an injected [`RankClock`]: one collective
+//!   loop for every collective strategy under either cadence, paced by a
+//!   `StepClock`, with the exchange passed in as an
+//!   [`EventOp`]; fault-tolerant SASGD; the
+//!   parameter-server learner.
+//! * `run_collective` — the one `(Algorithm, Cadence)` dispatch both
+//!   backends share: it builds the replicas on the calling thread, the
+//!   worlds (grouped for hierarchical SASGD), one exchange per rank, and
+//!   runs [`rank::run_collective_rank`] on one thread per rank.
+//! * [`simulated`] — the virtual-time backend: collective strategies run
+//!   that dispatch over [`SimTransport`] endpoints, whose receives charge
+//!   each message's modeled link time to virtual clocks; the
+//!   parameter-server strategies run a `(completion time, rank)` event
+//!   loop. Deterministic and bit-reproducible under a seed.
+//! * [`threaded`] — the wall-clock backend: the same dispatch over
+//!   in-process endpoints, the parameter-server learners against real
+//!   shard threads, and fault-tolerant SASGD.
 //! * [`Executor`] — the public entry point selecting a [`Backend`].
 //!
-//! The simulated aggregation arithmetic deliberately mirrors the wire
-//! collectives' reduction order (binomial tree, rank-ordered averaging),
-//! so synchronous strategies produce bitwise-identical parameters on both
-//! backends.
+//! Both backends run the same rank program over the same collectives, so
+//! every collective strategy produces bitwise-identical parameters, and
+//! the same counted wire traffic, on both.
+//!
+//! [`SimTransport`]: sasgd_comm::sim::SimTransport
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
+use sasgd_comm::hierarchy::{grouped, GroupedComm};
+use sasgd_comm::transport::Transport;
+use sasgd_comm::world::{CommWorld, Communicator, Traffic};
 use sasgd_data::{make_shards, Dataset, Shard};
 use sasgd_nn::Model;
 
-use sasgd_comm::sparse::SparseLevelProfile;
-
-use crate::history::{History, SparsitySample, StalenessStats, WireStats};
+use crate::algorithms::Algorithm;
+use crate::history::{History, StalenessStats};
 use crate::schedule::SyncPolicy;
 use crate::trainer::{Learner, TrainConfig};
+use rank::{run_collective_rank, ClockSpec, CollectiveRankSpec, EventOp, RankClock};
 
 pub mod rank;
 pub mod simulated;
@@ -45,66 +57,30 @@ pub mod threaded;
 
 /// How a strategy's learners advance relative to each other. Every
 /// strategy declares a *default* cadence; [`TrainConfig::cadence`] can
-/// override it per run, and every strategy executes under either value.
+/// override it per run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Cadence {
-    /// All learners take a step, then the engine checks the sync policy —
-    /// the bulk-synchronous execution the paper's Algorithm 1 describes.
+    /// Bulk-synchronous epochs: a round ends every `T` steps of aligned
+    /// per-epoch batch orders — the execution the paper's Algorithm 1
+    /// describes.
     Lockstep,
-    /// Learners run free on their own virtual clocks and reach sync points
-    /// one at a time in `(completion time, rank)` order.
+    /// Learners run free over endless reshuffled batch streams; the
+    /// collective strategies meet every `T` steps at one γ per round, the
+    /// parameter-server learners exchange whenever their blocks complete.
     EventDriven,
 }
 
-/// What a sync point touches under the event-driven cadence.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommScope {
-    /// One learner exchanges with shared state (a parameter server or
-    /// center variable) without waiting for peers — Downpour, EAMSGD.
-    Individual,
-    /// All learners rendezvous for a collective (allreduce / averaging) —
-    /// SASGD, Local SGD, DaSGD, hierarchical, model averaging.
-    Collective,
-}
-
-/// Per-round context handed to
-/// `AggregationStrategy::should_communicate`.
-#[derive(Clone, Copy, Debug)]
-pub struct RoundCtx {
-    /// Local steps taken since the last communication.
-    pub steps_since_sync: usize,
-    /// The sync policy's interval currently in force.
-    pub current_t: usize,
-    /// Global sync rounds completed so far (0 before the first sync) —
-    /// adaptive compression schedules key their telemetry off this.
-    pub round: u64,
-}
-
-/// A strategy's verdict on whether this round communicates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommDecision {
-    /// Keep taking local steps.
-    Continue,
-    /// Run the aggregation now.
-    Communicate,
-}
-
-/// The pluggable aggregation rule the engine composes with its learner
-/// loop. Default implementations encode the most common behaviour
+/// What the engine needs to know about a strategy besides its sync-point
+/// exchange. Default implementations encode the most common behaviour
 /// (sequential-SGD-like); each algorithm overrides only where it differs.
 ///
-/// Every strategy executes under both cadences. Lockstep uses
-/// [`sync`](AggregationStrategy::sync) and friends; the event-driven loops
-/// use [`on_local_step`](AggregationStrategy::on_local_step),
-/// [`should_communicate`](AggregationStrategy::should_communicate) driven
-/// by the strategy's [`SyncPolicy`], and — for
-/// [`CommScope::Individual`] strategies —
-/// [`event_sync`](AggregationStrategy::event_sync) against shared state.
-/// Strategy state that is global in the simulated world (the shared
-/// parameter vector, a parameter server, a center variable, error-feedback
-/// residuals) lives inside the strategy.
+/// The collective strategies implement only the descriptor half (label
+/// through [`staleness`](AggregationStrategy::staleness)); their exchange
+/// is the [`EventOp`] [`run_collective`] picks for the [`Algorithm`]. The
+/// parameter-server strategies also implement the hooks of the simulated
+/// event loop, holding the server state (parameter vector or center
+/// variable) themselves.
 #[allow(unused_variables)] // default hook bodies ignore their arguments
-#[allow(clippy::too_many_arguments)] // hooks carry the full step context
 pub(crate) trait AggregationStrategy {
     /// Display label matching the paper's plot legends.
     fn label(&self) -> String;
@@ -115,11 +91,6 @@ pub(crate) trait AggregationStrategy {
     /// Default execution cadence ([`TrainConfig::cadence`] overrides it).
     fn cadence(&self) -> Cadence {
         Cadence::Lockstep
-    }
-
-    /// What a sync point touches under the event-driven cadence.
-    fn comm_scope(&self) -> CommScope {
-        CommScope::Collective
     }
 
     /// Local steps between sync points (`0` = never sync).
@@ -135,34 +106,8 @@ pub(crate) trait AggregationStrategy {
         SyncPolicy::fixed(self.sync_interval())
     }
 
-    /// Decide whether this round communicates. The default mirrors the
-    /// classic counter: communicate exactly when `steps_since_sync`
-    /// reaches the policy's interval (never when the interval is 0).
-    fn should_communicate(&mut self, ctx: RoundCtx) -> CommDecision {
-        if ctx.current_t >= 1 && ctx.steps_since_sync >= ctx.current_t {
-            CommDecision::Communicate
-        } else {
-            CommDecision::Continue
-        }
-    }
-
-    /// End-of-round scalar the [`SyncPolicy`] adapts on (lower = better;
-    /// e.g. Local SGD's average-displacement norm). `None` = no signal,
-    /// the policy never adapts.
-    fn sync_signal(&mut self) -> Option<f32> {
-        None
-    }
-
-    /// Observe learner `id`'s measured staleness `tau` at a sync point and
-    /// return the learning rate to apply for the update. The default
-    /// returns `gamma` unchanged; staleness-aware strategies scale it
-    /// (γ/(1+τ)).
-    fn observe_staleness(&mut self, id: usize, tau: u64, gamma: f32) -> f32 {
-        gamma
-    }
-
-    /// Staleness a collective-scope strategy imposes by construction
-    /// (DaSGD applies the round-`k` average one round late, so 1; plain
+    /// Staleness a collective strategy imposes by construction (DaSGD
+    /// applies the round-`k` average one round late, so 1; plain
     /// collectives apply fresh state, so 0).
     fn collective_tau(&self) -> u64 {
         0
@@ -186,79 +131,26 @@ pub(crate) trait AggregationStrategy {
         true
     }
 
-    /// One-time initialization once all replicas share `x0`. `factory`
-    /// builds extra replicas if the strategy needs them. Returns the
-    /// per-learner initial communication charge (e.g. the `x0` broadcast).
-    fn setup(&mut self, factory: &mut dyn FnMut() -> Model, x0: &[f32], cfg: &TrainConfig) -> f64 {
-        0.0
-    }
-
-    /// Whether lockstep steps hold the epoch-start γ for the whole epoch
-    /// (independent learners) instead of moving it every step.
-    fn epoch_start_gamma(&self) -> bool {
-        false
-    }
-
-    /// One local minibatch (lockstep cadence).
-    fn local_step(
-        &mut self,
-        l: &mut Learner,
-        id: usize,
-        data: &Dataset,
-        idx: &[usize],
-        gamma: f32,
-        step_s: f64,
-        jitter: f64,
-    ) {
-        l.local_step(data, idx, gamma, step_s, jitter);
-    }
-
-    /// Global sync across all learners (lockstep cadence).
-    fn sync(&mut self, learners: &mut [Learner], gamma_now: f32) {}
-
-    /// End-of-epoch bookkeeping, before the epoch record is taken (e.g.
-    /// refresh an averaged evaluation replica, charge a one-shot
-    /// reduction).
-    fn epoch_end(&mut self, learners: &mut [Learner], epoch: usize, cfg: &TrainConfig) {}
-
-    /// The model evaluated for epoch records.
-    fn eval_model<'a>(&'a mut self, learners: &'a mut [Learner]) -> &'a mut Model {
-        &mut learners[0].model
-    }
-
-    /// Staleness summary given the number of sync points executed
-    /// (lockstep; the event engine measures staleness directly).
+    /// Staleness summary of a lockstep run given the number of sync
+    /// points executed.
     fn staleness(&self, syncs: u64) -> Option<StalenessStats> {
         None
     }
 
-    /// Analytic wire-traffic accounting for the simulated backend, given
-    /// the number of sync points executed.
-    fn wire(&self, syncs: u64) -> Option<WireStats> {
-        None
+    /// Parameter server: one-time initialization once all replicas share
+    /// `x0`.
+    fn setup(&mut self, x0: &[f32]) {}
+
+    /// Parameter server: observe learner `id`'s measured staleness `tau`
+    /// at a sync point and return the learning rate to apply. The default
+    /// returns `gamma` unchanged; staleness-aware strategies scale it
+    /// (γ/(1+τ)).
+    fn observe_staleness(&mut self, id: usize, tau: u64, gamma: f32) -> f32 {
+        gamma
     }
 
-    /// Final parameters reported in [`History`].
-    fn final_params(&mut self, learners: &[Learner]) -> Vec<f32> {
-        learners[0].model.param_vector()
-    }
-
-    /// Drain the per-sync `(round, rank, k_eff, residual_norm)` telemetry
-    /// an adaptive-compression strategy recorded; strategies without
-    /// compression return nothing.
-    fn sparsity_series(&mut self) -> Vec<SparsitySample> {
-        Vec::new()
-    }
-
-    /// Per-tree-level wire profile accumulated by a sparse-aggregating
-    /// strategy (empty for dense strategies).
-    fn sparse_levels(&self) -> SparseLevelProfile {
-        SparseLevelProfile::default()
-    }
-
-    /// One local minibatch (event-driven cadence; virtual time is the
-    /// engine's job, so no step cost or jitter is passed). The default
-    /// applies the gradient locally, exactly like a lockstep local step.
+    /// Parameter server: one local minibatch (virtual time is the event
+    /// loop's job). The default applies the gradient locally.
     fn on_local_step(
         &mut self,
         l: &mut Learner,
@@ -267,35 +159,11 @@ pub(crate) trait AggregationStrategy {
         idx: &[usize],
         gamma: f32,
     ) {
-        l.local_step(data, idx, gamma, 0.0, 1.0);
+        l.local_step(data, idx, gamma);
     }
 
-    /// Sync learner `id` against the shared state
-    /// ([`CommScope::Individual`] strategies only; collective-scope
-    /// strategies aggregate through
-    /// [`sync`](AggregationStrategy::sync) instead).
+    /// Parameter server: sync learner `id` against the server state.
     fn event_sync(&mut self, l: &mut Learner, id: usize, gamma: f32) {}
-}
-
-/// Binomial-tree reduction of per-rank buffers in the exact gap-doubling
-/// order of the wire collective (`sasgd-comm`'s `allreduce_tree`), so the
-/// simulated sum is bitwise the threaded sum. Consumes the buffers and
-/// returns the total.
-pub(crate) fn tree_reduce(mut bufs: Vec<Vec<f32>>) -> Vec<f32> {
-    let p = bufs.len();
-    let mut gap = 1;
-    while gap < p {
-        let mut i = 0;
-        while i + gap < p {
-            let (lo, hi) = bufs.split_at_mut(i + gap);
-            for (a, b) in lo[i].iter_mut().zip(&hi[0]) {
-                *a += b;
-            }
-            i += 2 * gap;
-        }
-        gap *= 2;
-    }
-    bufs.swap_remove(0)
 }
 
 /// Squared L2 distance between two parameter vectors, folded sequentially
@@ -312,12 +180,12 @@ pub(crate) fn delta_sq_norm(a: &[f32], b: &[f32]) -> f32 {
 /// threaded run could not degrade around.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineError {
-    /// The requested cadence/backend combination has no execution path —
-    /// e.g. forcing a parameter-server strategy to lockstep on the
-    /// threaded backend, where no bulk-synchronous PS runner exists. The
-    /// simulated backend executes every strategy under either cadence, so
-    /// only explicit [`TrainConfig::cadence`] overrides on the threaded
-    /// backend can produce this.
+    /// The strategy has no execution path at the requested cadence, on
+    /// either backend: the parameter-server strategies are asynchronous by
+    /// definition and the averaging lattice points (Local SGD, DaSGD) have
+    /// no bulk-synchronous exchange, so an explicit
+    /// [`TrainConfig::cadence`] override forcing any of those four to
+    /// lockstep produces this.
     UnsupportedCadence {
         /// Label of the offending strategy.
         label: String,
@@ -361,24 +229,21 @@ impl std::fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// Build the strategy implementing `algo`.
-pub(crate) fn strategy_for(algo: &crate::algorithms::Algorithm) -> Box<dyn AggregationStrategy> {
+pub(crate) fn strategy_for(algo: &Algorithm) -> Box<dyn AggregationStrategy> {
     use crate::algorithms::*;
     match *algo {
-        Algorithm::Sequential => Box::new(sequential::SequentialStrategy::new()),
+        Algorithm::Sequential => Box::new(sequential::SequentialStrategy),
         Algorithm::Sasgd {
-            p,
-            t,
-            gamma_p,
-            compression,
-        } => Box::new(sasgd::SasgdStrategy::new(p, t, gamma_p, compression)),
+            p, t, compression, ..
+        } => Box::new(sasgd::SasgdStrategy::new(p, t, compression)),
         Algorithm::HierarchicalSasgd {
             groups,
             per_group,
             t_local,
             t_global,
-            gamma_p,
+            ..
         } => Box::new(hierarchical::HierarchicalStrategy::new(
-            groups, per_group, t_local, t_global, gamma_p,
+            groups, per_group, t_local, t_global,
         )),
         Algorithm::Downpour {
             p,
@@ -406,18 +271,208 @@ pub(crate) fn strategy_for(algo: &crate::algorithms::Algorithm) -> Box<dyn Aggre
     }
 }
 
+/// The cadence `algo` runs at under `cfg` — its strategy's default unless
+/// [`TrainConfig::cadence`] overrides it — or
+/// [`EngineError::UnsupportedCadence`] when the strategy has no execution
+/// path there. Both backends answer identically.
+pub(crate) fn resolve_cadence(
+    algo: &Algorithm,
+    s: &dyn AggregationStrategy,
+    cfg: &TrainConfig,
+) -> Result<Cadence, EngineError> {
+    let cadence = cfg.cadence.unwrap_or_else(|| s.cadence());
+    match (algo, cadence) {
+        (
+            Algorithm::Downpour { .. }
+            | Algorithm::Eamsgd { .. }
+            | Algorithm::LocalSgd { .. }
+            | Algorithm::DelayedAvg { .. },
+            Cadence::Lockstep,
+        ) => Err(EngineError::UnsupportedCadence { label: s.label() }),
+        _ => Ok(cadence),
+    }
+}
+
+/// What sets the two backends apart in a collective run: the endpoint a
+/// rank's messages travel through and the clock its loop reads.
+pub(crate) trait Substrate: Sync {
+    /// A rank's endpoint.
+    type Endpoint: Transport;
+
+    /// The history label for a strategy labelled `label`.
+    fn label(&self, label: String) -> String;
+
+    /// Global rank `rank`'s endpoint from `comm`, an endpoint of a group
+    /// world (learners sharing a device) when `group` is set.
+    fn endpoint(&self, comm: Communicator, rank: usize, group: bool) -> Self::Endpoint;
+
+    /// Global rank `rank`'s clock, read on the rank's own thread.
+    fn clock(&self, rank: usize) -> RankClock;
+}
+
+/// Run a collective strategy — every [`Algorithm`] but Downpour and
+/// EAMSGD — on `sub`: the replicas are built on the calling thread, then
+/// one thread per rank runs [`run_collective_rank`] with the exchange of
+/// `algo` over a flat world (hierarchical SASGD: the grouped global, group
+/// and leader worlds). The round structure is resolved independently per
+/// rank from rank-invariant state, so the collectives line up without a
+/// coordinator. [`History::wire`] sums every world's traffic counters.
+#[allow(clippy::too_many_arguments)] // the run's full context
+pub(crate) fn run_collective<S: Substrate>(
+    sub: &S,
+    algo: &Algorithm,
+    s: &dyn AggregationStrategy,
+    factory: &mut dyn FnMut() -> Model,
+    train_set: &Dataset,
+    test_set: &Dataset,
+    cfg: &TrainConfig,
+    cadence: Cadence,
+) -> Result<History, EngineError> {
+    let p = s.p();
+    // Split intra-op workers across the p rank threads (no-op unless the
+    // `parallel` feature is on and nothing was configured explicitly).
+    sasgd_tensor::parallel::auto_configure_for_learners(p);
+    let shards = s.shards(train_set, cfg);
+    let min_steps = shards
+        .iter()
+        .map(|sh| sh.len() / cfg.batch_size)
+        .min()
+        .expect("at least one shard");
+    let clock = match cadence {
+        Cadence::Lockstep => {
+            let truncate = s.lockstep_truncates();
+            assert!(
+                !truncate || min_steps > 0,
+                "shards too small: {} samples over {p} learners at batch {}",
+                train_set.len(),
+                cfg.batch_size
+            );
+            ClockSpec::Lockstep {
+                steps_per_epoch: truncate.then_some(min_steps),
+            }
+        }
+        Cadence::EventDriven => ClockSpec::EventDriven {
+            epoch_block: min_steps.max(1),
+        },
+    };
+    let spec = CollectiveRankSpec {
+        train_set,
+        test_set,
+        cfg,
+        p,
+        label: sub.label(s.label()),
+        clock,
+        policy: s.sync_policy(),
+        collective_tau: s.collective_tau(),
+        history_interval: s.history_interval(),
+    };
+    let models: Vec<Model> = (0..p).map(|_| factory()).collect();
+    let rank = |(r, mut comm, model, op): (usize, S::Endpoint, Model, EventOp<S::Endpoint>)| {
+        run_collective_rank(&mut comm, model, &shards[r], &spec, op, sub.clock(r))
+    };
+    let mut history = if let Algorithm::HierarchicalSasgd {
+        groups,
+        per_group,
+        t_global,
+        gamma_p,
+        ..
+    } = *algo
+    {
+        let bundles = grouped(groups, per_group);
+        // Global, group and leader worlds each count their own traffic.
+        let traffic: Vec<Arc<Traffic>> = std::iter::once(bundles[0].global.traffic())
+            .chain(bundles.iter().step_by(per_group).map(|b| b.local.traffic()))
+            .chain(bundles[0].leaders.as_ref().map(Communicator::traffic))
+            .collect();
+        let ranks = bundles
+            .into_iter()
+            .zip(models)
+            .enumerate()
+            .map(|(r, (bundle, model))| {
+                let GroupedComm {
+                    global,
+                    local,
+                    leaders,
+                    ..
+                } = bundle;
+                let op = EventOp::Hierarchical {
+                    t_global,
+                    gamma_p,
+                    local: sub.endpoint(local, r, true),
+                    leaders: leaders.map(|l| sub.endpoint(l, r, false)),
+                };
+                (r, sub.endpoint(global, r, false), model, op)
+            })
+            .collect();
+        threaded::run_ranks(ranks, &traffic, rank)?
+    } else {
+        let mut world = CommWorld::new(p);
+        let traffic = [world.traffic()];
+        // Rank 0 of one-shot averaging holds the spare replica that
+        // evaluates the running average.
+        let mut replica = matches!(algo, Algorithm::ModelAverageOnce { .. }).then(factory);
+        let ranks = world
+            .communicators()
+            .into_iter()
+            .zip(models)
+            .enumerate()
+            .map(|(r, (comm, model))| {
+                let op = match *algo {
+                    Algorithm::Sequential => EventOp::LocalOnly,
+                    Algorithm::Sasgd {
+                        gamma_p,
+                        compression,
+                        ..
+                    } => EventOp::Gradient {
+                        gamma_p,
+                        compression,
+                    },
+                    Algorithm::ModelAverageOnce { .. } => EventOp::EpochAverage {
+                        replica: replica.take(),
+                    },
+                    Algorithm::LocalSgd { .. } => EventOp::ParamAverage,
+                    Algorithm::DelayedAvg { .. } => EventOp::DelayedAverage,
+                    Algorithm::HierarchicalSasgd { .. }
+                    | Algorithm::Downpour { .. }
+                    | Algorithm::Eamsgd { .. } => unreachable!("not a flat collective strategy"),
+                };
+                (r, sub.endpoint(comm, r, false), model, op)
+            })
+            .collect();
+        threaded::run_ranks(ranks, &traffic, rank)?
+    };
+    // The staleness summary: analytic under lockstep, the strategy's
+    // by-construction τ for every rank of every round when event-driven.
+    history.staleness = match cadence {
+        Cadence::Lockstep => s.staleness(history.sync_rounds),
+        Cadence::EventDriven => {
+            let tau = s.collective_tau();
+            let pushes = history.sync_rounds * p as u64;
+            (pushes > 0).then_some(StalenessStats {
+                mean: tau as f64,
+                max: tau,
+                pushes,
+            })
+        }
+    };
+    Ok(history)
+}
+
 /// Which substrate executes the learner loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// Virtual clocks over the `sasgd-simnet` cost model; deterministic
-    /// and bit-reproducible under a seed.
+    /// One thread per learner over [`SimTransport`](sasgd_comm::sim::SimTransport) endpoints (the
+    /// parameter-server strategies: a virtual-time event loop): modeled
+    /// time from the `sasgd-simnet` cost model, counted wire traffic,
+    /// deterministic and bit-reproducible under a seed.
     Simulated,
-    /// One OS thread per learner over `sasgd-comm` collectives / parameter
-    /// server; wall-clock timing and measured wire traffic.
+    /// One OS thread per learner over in-process `sasgd-comm` endpoints
+    /// and parameter-server shards: wall-clock timing, counted wire
+    /// traffic.
     Threaded,
 }
 
-/// Runs any [`Algorithm`](crate::Algorithm) on a chosen [`Backend`]
+/// Runs any [`Algorithm`] on a chosen [`Backend`]
 /// through the unified engine.
 ///
 /// ```
@@ -452,7 +507,8 @@ impl Executor {
 
     /// Run `algo` on the executor's backend. The factory must produce
     /// identically initialized models on every call (close over a fixed
-    /// seed); on the threaded backend it is called from learner threads.
+    /// seed); the collective strategies call it on this thread, the
+    /// threaded parameter-server learners on their own.
     ///
     /// # Panics
     /// Panics on a misconfigured strategy or an unsurvivable wire failure,
@@ -471,10 +527,10 @@ impl Executor {
             .unwrap_or_else(|e| panic!("{:?} backend running {algo:?}: {e}", self.backend))
     }
 
-    /// [`Executor::run`] with the error typed: a cadence/backend
-    /// combination with no execution path is a typed [`EngineError`]
-    /// before any thread or learner state exists, and threaded wire
-    /// failures surface instead of panicking.
+    /// [`Executor::run`] with the error typed: a strategy/cadence pair with
+    /// no execution path is a typed [`EngineError`] before any thread or
+    /// learner state exists, and wire failures surface instead of
+    /// panicking.
     pub fn try_run(
         &self,
         factory: &(dyn Fn() -> Model + Sync),
@@ -483,21 +539,16 @@ impl Executor {
         algo: &crate::algorithms::Algorithm,
         cfg: &TrainConfig,
     ) -> Result<History, EngineError> {
-        let mut strategy = strategy_for(algo);
-        let cadence = cfg.cadence.unwrap_or_else(|| strategy.cadence());
-        Ok(match self.backend {
-            Backend::Simulated => {
-                let mut f = || factory();
-                simulated::run(&mut *strategy, &mut f, train_set, test_set, cfg, cadence)
-            }
-            Backend::Threaded => threaded::run(factory, train_set, test_set, algo, cfg, cadence)?,
-        })
+        match self.backend {
+            Backend::Simulated => simulated::run(&mut || factory(), train_set, test_set, algo, cfg),
+            Backend::Threaded => threaded::run(factory, train_set, test_set, algo, cfg),
+        }
     }
 }
 
 /// A per-learner infinite minibatch stream over that learner's data shard
-/// (reshuffled every pass). Shared by the event-driven engine and the
-/// threaded asynchronous backend.
+/// (reshuffled every pass). Shared by the event-driven step clock and the
+/// parameter-server learners of both backends.
 pub(crate) struct BatchStream {
     pending: VecDeque<Vec<usize>>,
     indices: Vec<usize>,

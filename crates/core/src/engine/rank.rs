@@ -1,17 +1,23 @@
 //! The per-rank learner loops, generic over the comm substrate.
 //!
-//! The threaded backend spawns one thread per rank running one of three
-//! loops, each written once over [`Transport`] so the *same code* drives a
-//! rank whether its peers are threads in this process (in-proc crossbeam
-//! endpoints), other OS processes (socket endpoints handed out by the
-//! launcher), or model-checker ranks:
+//! Both backends spawn one thread per rank running one of three loops,
+//! each written once over [`Transport`] so the *same code* drives a rank
+//! whether its peers are threads in this process (in-proc crossbeam
+//! endpoints, or their virtual-time [`SimTransport`] wrappers), other OS
+//! processes (socket endpoints handed out by the launcher), or
+//! model-checker ranks. Time comes from an injected [`RankClock`]: wall
+//! time, or the virtual clock the rank's [`SimTransport`] endpoints
+//! advance.
+//!
+//! [`SimTransport`]: sasgd_comm::sim::SimTransport
 //!
 //! * [`run_collective_rank`] — every collective strategy under either
-//!   cadence. A `StepClock` decides the cadence (batch source, the γ
-//!   each step uses, round boundaries from the [`SyncPolicy`], when to
-//!   evaluate, when to stop); the loop only executes its ticks, with the
-//!   sync-point exchange passed in as an [`EventOp`]. [`run_sasgd_rank`]
-//!   is its lockstep-gradient case — the paper's Algorithm 1 with the
+//!   cadence, on either backend. A `StepClock` decides the cadence (batch
+//!   source, the γ each step uses, round boundaries from the
+//!   [`SyncPolicy`], when to evaluate, when to stop); the loop only
+//!   executes its ticks, with the sync-point exchange passed in as an
+//!   [`EventOp`]. [`run_sasgd_rank`] is its lockstep-gradient case on
+//!   the wall clock — the paper's Algorithm 1 with the
 //!   operation order frozen (local steps, tree allreduce every `T`
 //!   minibatches, `x -= γp·Σg`, rank 0 evaluating at epoch ends), so a
 //!   multi-process run produces bitwise the same `final_params` as an
@@ -29,12 +35,13 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sasgd_comm::collectives::{allreduce_tree, broadcast};
 use sasgd_comm::fault::FaultPlan;
 use sasgd_comm::ft::{ft_allreduce, FtError, Membership};
 use sasgd_comm::ps_transport::{PsTransportClient, PsTransportError};
+use sasgd_comm::sim::VirtualClock;
 use sasgd_comm::sparse::{
     q8_allreduce_tree, sparse_allreduce_tree_v2, SparseLevelProfile, SparseTreeOpts, SparseVec,
 };
@@ -44,6 +51,7 @@ use sasgd_data::{Dataset, Shard};
 use sasgd_nn::Model;
 use sasgd_tensor::SeedRng;
 
+use super::threaded::WallClock;
 use super::{delta_sq_norm, BatchStream, EngineError};
 use crate::algorithms::GammaP;
 use crate::compress::{Compression, KState};
@@ -110,7 +118,72 @@ pub fn run_sasgd_rank<T: Transport>(
         gamma_p: spec.gamma_p,
         compression: spec.compression,
     };
-    run_collective_rank(comm, model, shard, &collective, op)
+    run_collective_rank(comm, model, shard, &collective, op, RankClock::wall())
+}
+
+/// The clock a rank loop reads. On the wall clock real time passes by
+/// itself and the loop only measures it; on a virtual clock the loop
+/// charges the modeled cost of its own work — each step's
+/// `minibatch_compute × speed × jitter` (jitter drawn from the learner's
+/// own stream, so numerics never move) and the lockstep per-epoch
+/// overhead — while the rank's
+/// [`SimTransport`](sasgd_comm::sim::SimTransport) endpoints charge every
+/// message's link time.
+pub enum RankClock {
+    /// Wall time since the rank started.
+    Wall(WallClock),
+    /// The rank's virtual clock, shared with its endpoints.
+    Virtual(VirtualClock),
+}
+
+impl RankClock {
+    /// Wall time, starting now.
+    pub fn wall() -> Self {
+        RankClock::Wall(WallClock::start())
+    }
+
+    /// Seconds on this clock.
+    fn now(&self) -> f64 {
+        match self {
+            RankClock::Wall(w) => w.seconds(),
+            RankClock::Virtual(v) => v.now(),
+        }
+    }
+
+    /// Seconds spent by work that began at `t0`: measured on the wall
+    /// clock; `modeled()` charged and returned on a virtual one.
+    fn lap(&self, t0: f64, modeled: impl FnOnce() -> f64) -> f64 {
+        match self {
+            RankClock::Wall(w) => w.seconds() - t0,
+            RankClock::Virtual(v) => {
+                let dt = modeled();
+                v.advance(dt);
+                dt
+            }
+        }
+    }
+
+    /// Charge `seconds` of modeled time that no message accounts for.
+    fn pass(&self, seconds: f64) {
+        if let RankClock::Virtual(v) = self {
+            v.advance(seconds);
+        }
+    }
+
+    /// Return to `t`: the time since was overlapped with the rank's own
+    /// work, or was not part of the algorithm.
+    fn rewind(&self, t: f64) {
+        if let RankClock::Virtual(v) = self {
+            v.set(t);
+        }
+    }
+
+    /// Wait until `t` (a virtual clock already past `t` stays put).
+    fn wait_until(&self, t: f64) {
+        if let RankClock::Virtual(v) = self {
+            v.wait_until(t);
+        }
+    }
 }
 
 /// One rank of fault-tolerant SASGD over any transport. Graceful paths:
@@ -135,6 +208,7 @@ pub fn run_sasgd_ft_rank<T: Transport>(
     let cfg = spec.cfg;
     let crash_at = plan.crash_step(rank);
     let mut membership = Membership::new(spec.p);
+    let wall = WallClock::start();
     let mut learner = Learner::new(rank, model, cfg);
     let mut x = learner.model.param_vector();
     broadcast(comm, 0, &mut x).map_err(|e| wire_failure(rank, 0, e))?;
@@ -164,12 +238,12 @@ pub fn run_sasgd_ft_rank<T: Transport>(
                 if let Some(stall) = plan.stall_at(rank, gstep) {
                     std::thread::sleep(stall);
                 }
-                let t0 = Instant::now();
-                learner.local_step(spec.train_set, &idx, gamma, 0.0, 1.0);
-                compute_s += t0.elapsed().as_secs_f64();
+                let t0 = wall.seconds();
+                learner.local_step(spec.train_set, &idx, gamma);
+                compute_s += wall.seconds() - t0;
             }
             Tick::Sync { round, gamma } => {
-                let t1 = Instant::now();
+                let t1 = wall.seconds();
                 history.sync_rounds = round;
                 let outcome = match ft_allreduce(comm, &mut membership, &mut learner.gs, deadline) {
                     Ok(o) => o,
@@ -196,7 +270,7 @@ pub fn run_sasgd_ft_rank<T: Transport>(
                 global_step(&mut x, gp, &learner.gs);
                 learner.model.write_params(&x);
                 learner.gs.iter_mut().for_each(|g| *g = 0.0);
-                let elapsed = t1.elapsed().as_secs_f64();
+                let elapsed = wall.seconds() - t1;
                 comm_s += elapsed;
                 if rank == 0 && !outcome.lost.is_empty() {
                     history.membership.push(MembershipEvent {
@@ -367,14 +441,8 @@ impl<'a> StepClock<'a> {
     }
 
     /// Fractional epoch fed to the γ schedule at lockstep step `step` of
-    /// `steps` in epoch `epoch` (1-based) — shared with the simulated
-    /// backend so both resolve the identical rate.
-    pub(crate) fn lockstep_epoch(
-        epoch_start_gamma: bool,
-        epoch: usize,
-        step: usize,
-        steps: usize,
-    ) -> f64 {
+    /// `steps` in epoch `epoch` (1-based).
+    fn lockstep_epoch(epoch_start_gamma: bool, epoch: usize, step: usize, steps: usize) -> f64 {
         let start = (epoch - 1) as f64;
         if epoch_start_gamma {
             start
@@ -387,8 +455,8 @@ impl<'a> StepClock<'a> {
     /// event-driven round: nominal system-wide progress after `steps_done`
     /// per-rank steps of `batch` samples across `p` ranks over an
     /// `n`-sample dataset. Rank-independent by construction, so every rank
-    /// resolves the same γ for a given round on either backend.
-    pub(crate) fn round_epoch(steps_done: u64, batch: usize, p: usize, n: usize) -> f64 {
+    /// resolves the same γ for a given round.
+    fn round_epoch(steps_done: u64, batch: usize, p: usize, n: usize) -> f64 {
         (steps_done * batch as u64 * p as u64) as f64 / n as f64
     }
 
@@ -553,8 +621,9 @@ pub enum EventOp<T> {
     DelayedAverage,
     /// Two-level SASGD: every round a group allreduce of the accumulated
     /// gradients plus the group step at `γp` over the group size; every
-    /// `t_global` rounds the group copies are averaged among the group
-    /// leaders and broadcast back down the group.
+    /// `t_global` rounds the first leader averages the group copies in
+    /// rank order, and the average is broadcast to every leader and down
+    /// each group.
     Hierarchical {
         /// Local rounds between leader averages.
         t_global: usize,
@@ -596,49 +665,60 @@ pub struct CollectiveRankSpec<'a> {
 
 /// One rank of the shared collective loop over any transport: execute the
 /// `StepClock`'s ticks — local steps, the `op` exchange at every round
-/// boundary or epoch end, rank 0's evaluations. Under the lockstep clock
-/// this is Algorithm 1 and its lockstep relatives; under the event-driven
-/// clock it is the threaded mirror of the simulated collective event
-/// engine. Because each step touches only rank-local state and γ never
-/// depends on completion interleaving, `final_params` are bitwise the
-/// simulated backend's for every op except hierarchical with more than
-/// one group (level 2 averages through a tree here, in rank order there).
+/// boundary or epoch end, rank 0's evaluations — timed by `time`. Under
+/// the lockstep clock this is Algorithm 1 and its lockstep relatives;
+/// under the event-driven clock every rank runs free between rendezvous.
+/// Each step touches only rank-local state and γ never depends on
+/// completion interleaving, so `final_params` depend only on the
+/// dataflow: the simulated and threaded backends, which both run this
+/// loop, agree bitwise for every op.
 pub fn run_collective_rank<T: Transport>(
     comm: &mut T,
     model: Model,
     shard: &Shard,
     spec: &CollectiveRankSpec<'_>,
     op: EventOp<T>,
+    time: RankClock,
 ) -> Result<History, EngineError> {
     let rank = comm.rank();
     let cfg = spec.cfg;
     let p = spec.p;
     let mut learner = Learner::new(rank, model, cfg);
+    // Modeled seconds of one minibatch; a virtual clock charges it scaled
+    // by the learner's speed and jitter.
+    let step_s = cfg
+        .cost
+        .minibatch_compute(learner.model.macs_per_sample(), cfg.batch_size, p);
+    let t_setup = time.now();
     let mut exchange = Exchange::setup(op, comm, &mut learner)?;
+    let mut comm_s = time.now() - t_setup;
     let evals = (rank == 0).then(|| EvalSets::prepare(spec.train_set, spec.test_set, cfg.eval_cap));
     let mut history = History::new(spec.label.clone(), p, spec.history_interval);
     let n = spec.train_set.len();
     // Independent learners (one-shot averaging) hold the epoch-start γ.
     let epoch_gamma = matches!(exchange.op, EventOp::EpochAverage { .. });
+    let lockstep = matches!(spec.clock, ClockSpec::Lockstep { .. });
     let policy = spec.policy.clone();
     let mut clock = StepClock::new(spec.clock, epoch_gamma, shard, cfg, p, n, policy);
     let mut compute_s = 0.0f64;
-    let mut comm_s = 0.0f64;
     while let Some(tick) = clock.next(&mut learner.rng) {
         match tick {
             Tick::Step { idx, gamma } => {
-                let t0 = Instant::now();
-                learner.local_step(spec.train_set, &idx, gamma, 0.0, 1.0);
+                let t0 = time.now();
+                learner.local_step(spec.train_set, &idx, gamma);
                 if !exchange.keeps_gs() {
                     learner.gs.iter_mut().for_each(|g| *g = 0.0);
                 }
-                compute_s += t0.elapsed().as_secs_f64();
+                compute_s += time.lap(t0, || {
+                    step_s * learner.speed * learner.draw_jitter(&cfg.jitter)
+                });
             }
             Tick::Sync { round, gamma } => {
-                let t1 = Instant::now();
+                let t1 = time.now();
                 history.sync_rounds = round;
-                let signal = exchange.sync(comm, &mut learner, p, gamma, round, &mut history)?;
-                comm_s += t1.elapsed().as_secs_f64();
+                let signal =
+                    exchange.sync(comm, &mut learner, gamma, round, &mut history, &time)?;
+                comm_s += time.now() - t1;
                 clock.observe_round(signal);
                 if rank == 0 {
                     for id in 0..p {
@@ -647,9 +727,12 @@ pub fn run_collective_rank<T: Transport>(
                 }
             }
             Tick::EpochEnd { epoch } => {
-                let t1 = Instant::now();
-                exchange.epoch_end(comm, &learner, p, epoch)?;
-                comm_s += t1.elapsed().as_secs_f64();
+                if lockstep {
+                    time.pass(cfg.cost.epoch_overhead);
+                }
+                let t1 = time.now();
+                exchange.epoch_end(comm, &learner, epoch, epoch == cfg.epochs, &time)?;
+                comm_s += time.now() - t1;
             }
             Tick::Eval { epoch } => {
                 if let Some(ev) = &evals {
@@ -677,6 +760,8 @@ struct Exchange<T> {
     codec: Option<Codec>,
     /// DaSGD: the average that lands next round.
     pending: Option<Vec<f32>>,
+    /// DaSGD: when `pending`'s allreduce completed on this rank's clock.
+    landed: f64,
     /// Hierarchical: rounds since the last leader average.
     local_rounds: usize,
 }
@@ -691,8 +776,7 @@ struct Codec {
 impl<T: Transport> Exchange<T> {
     /// Allocate `op`'s buffers. The gradient-shaped ops start from rank
     /// 0's parameters (Algorithm 1's broadcast); the averaging ops start
-    /// from the factory's identical replicas, like their simulated
-    /// strategies.
+    /// from the factory's identical replicas.
     fn setup(op: EventOp<T>, comm: &mut T, learner: &mut Learner) -> Result<Self, EngineError> {
         let x = match op {
             EventOp::LocalOnly | EventOp::EpochAverage { .. } => Vec::new(),
@@ -726,6 +810,7 @@ impl<T: Transport> Exchange<T> {
             x,
             codec,
             pending: None,
+            landed: 0.0,
             local_rounds: 0,
         })
     }
@@ -745,12 +830,13 @@ impl<T: Transport> Exchange<T> {
         &mut self,
         comm: &mut T,
         learner: &mut Learner,
-        p: usize,
         gamma: f32,
         round: u64,
         history: &mut History,
+        time: &RankClock,
     ) -> Result<Option<f32>, EngineError> {
         let rank = comm.rank();
+        let p = comm.size();
         let fail = |e: CommError| wire_failure(rank, round, e);
         let x = &mut self.x;
         match &mut self.op {
@@ -794,11 +880,18 @@ impl<T: Transport> Exchange<T> {
                 // progress made since its snapshot.
                 let cur = learner.model.param_vector();
                 let mut buf = cur.clone();
+                // The allreduce overlaps the next round's compute: the
+                // clock returns to its launch, and only waiting for the
+                // previous round's average to land is charged.
+                let launch = time.now();
                 allreduce_tree(comm, &mut buf).map_err(fail)?;
+                let landed = std::mem::replace(&mut self.landed, time.now());
+                time.rewind(launch);
                 let inv = 1.0 / p as f32;
                 buf.iter_mut().for_each(|v| *v *= inv);
                 *x = match self.pending.replace(buf) {
                     Some(prev) => {
+                        time.wait_until(landed);
                         let applied = rebase(&prev, &cur, x);
                         learner.model.write_params(&applied);
                         applied
@@ -819,12 +912,14 @@ impl<T: Transport> Exchange<T> {
                 learner.gs.iter_mut().for_each(|g| *g = 0.0);
                 self.local_rounds += 1;
                 if self.local_rounds == *t_global {
-                    // Level 2: average the group copies among the leaders,
-                    // broadcast down the group.
+                    // Level 2: the first leader averages the group copies
+                    // in rank order and sends the average back to every
+                    // leader, then down each group.
                     if let Some(leaders) = leaders.as_mut() {
-                        allreduce_tree(leaders, x).map_err(fail)?;
-                        let inv = 1.0 / leaders.size() as f32;
-                        x.iter_mut().for_each(|v| *v *= inv);
+                        if let Some(avg) = gather_average(leaders, x.clone()).map_err(fail)? {
+                            *x = avg;
+                        }
+                        broadcast(leaders, 0, x).map_err(fail)?;
                     }
                     broadcast(local, 0, x).map_err(fail)?;
                     self.local_rounds = 0;
@@ -835,38 +930,31 @@ impl<T: Transport> Exchange<T> {
         Ok(None)
     }
 
-    /// The end of epoch `epoch`: one-shot averaging gathers the parameters
-    /// to rank 0 in rank order (the simulated strategy's accumulation
-    /// order) and refreshes its evaluation replica.
+    /// The end of epoch `epoch` (`last` of the run): one-shot averaging
+    /// gathers the parameters to rank 0 in rank order and refreshes its
+    /// evaluation replica. Only the final average belongs to the
+    /// algorithm; the earlier ones exist for rank 0's evaluations and
+    /// leave a virtual clock where they found it.
     fn epoch_end(
         &mut self,
         comm: &mut T,
         learner: &Learner,
-        p: usize,
         epoch: usize,
+        last: bool,
+        time: &RankClock,
     ) -> Result<(), EngineError> {
         let EventOp::EpochAverage { replica } = &mut self.op else {
             return Ok(());
         };
         let rank = comm.rank();
-        let fail = |e: CommError| wire_failure(rank, epoch as u64, e);
-        let gather_tag = (comm.next_op() << 4) | 2;
-        let own = learner.model.param_vector();
-        match replica {
-            Some(replica) => {
-                let mut avg = vec![0.0f32; own.len()];
-                let mut add = |v: &[f32]| {
-                    for (a, &b) in avg.iter_mut().zip(v) {
-                        *a += b / p as f32;
-                    }
-                };
-                add(&own);
-                for r in 1..p {
-                    add(&comm.recv(r, gather_tag).map_err(fail)?);
-                }
-                replica.write_params(&avg);
-            }
-            None => comm.send(0, gather_tag, own).map_err(fail)?,
+        let start = time.now();
+        let avg = gather_average(comm, learner.model.param_vector())
+            .map_err(|e| wire_failure(rank, epoch as u64, e))?;
+        if let (Some(replica), Some(avg)) = (replica, avg) {
+            replica.write_params(&avg);
+        }
+        if !last {
+            time.rewind(start);
         }
         Ok(())
     }
@@ -892,11 +980,38 @@ impl<T: Transport> Exchange<T> {
                 _,
             ) => replica.param_vector(),
             // A pending average that never landed is flushed into the
-            // final parameters, exactly like the simulated strategy.
+            // final parameters, so a finished run keeps its last round.
             (_, Some(prev)) => rebase(prev, &cur, &self.x),
             _ => cur,
         }
     }
+}
+
+/// Gather every rank's `own` parameters to rank 0 and average them there
+/// in rank order, `Σ v / p` from +0.0 — one-shot averaging's and the
+/// hierarchical level-2 accumulation order. Rank 0 gets the average, the
+/// other ranks `None`.
+fn gather_average<T: Transport>(
+    comm: &mut T,
+    own: Vec<f32>,
+) -> Result<Option<Vec<f32>>, CommError> {
+    let p = comm.size();
+    let tag = (comm.next_op() << 4) | 2;
+    if comm.rank() != 0 {
+        comm.send(0, tag, own)?;
+        return Ok(None);
+    }
+    let mut avg = vec![0.0f32; own.len()];
+    let mut add = |v: &[f32]| {
+        for (a, &b) in avg.iter_mut().zip(v) {
+            *a += b / p as f32;
+        }
+    };
+    add(&own);
+    for r in 1..p {
+        add(&comm.recv(r, tag)?);
+    }
+    Ok(Some(avg))
 }
 
 /// `x ← x − γp·g`.
@@ -989,6 +1104,7 @@ pub fn run_ps_rank<T: Transport>(
     exchanges: &AtomicU64,
 ) -> Result<History, EngineError> {
     let rank = client.rank();
+    let wall = WallClock::start();
     let cfg = spec.cfg;
     let (p, n) = (spec.p, spec.train_set.len());
     let target = (cfg.epochs * n).div_ceil(p);
@@ -1017,13 +1133,13 @@ pub fn run_ps_rank<T: Transport>(
     while samples < target {
         // Schedule γ by estimated collective progress.
         let gamma_now = cfg.gamma_at(samples as f64 * p as f64 / n as f64);
-        let t0 = Instant::now();
+        let t0 = wall.seconds();
         for _ in 0..spec.t {
             let idx = stream.next(&mut learner.rng);
             samples += idx.len();
             match spec.exchange {
                 PsExchange::Downpour => {
-                    learner.local_step(spec.train_set, &idx, gamma_now, 0.0, 1.0);
+                    learner.local_step(spec.train_set, &idx, gamma_now);
                 }
                 PsExchange::Eamsgd { momentum, .. } => {
                     // One momentum-SGD step on the local replica — same
@@ -1038,8 +1154,8 @@ pub fn run_ps_rank<T: Transport>(
                 }
             }
         }
-        compute_s += t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
+        compute_s += wall.seconds() - t0;
+        let t1 = wall.seconds();
         round += 1;
         let tau = exchanges.fetch_add(1, Ordering::SeqCst) - seen;
         let scaled = |rate: f32| {
@@ -1077,7 +1193,7 @@ pub fn run_ps_rank<T: Transport>(
                 alpha_eff
             }
         };
-        comm_s += t1.elapsed().as_secs_f64();
+        comm_s += wall.seconds() - t1;
         if let Some(ev) = &evals {
             history.push_staleness(round - 1, 0, tau, rate);
             staleness_obs.push(tau);
@@ -1128,6 +1244,7 @@ fn compressed_allreduce<T: Transport>(
     round: u64,
 ) -> Result<Vec<f32>, EngineError> {
     let rank = comm.rank();
+    let fail = |e: CommError| wire_failure(rank, round, e);
     // Error feedback: compress gs + carried residual, keep what was
     // dropped.
     let input: Vec<f32> = gs.iter().zip(residual.iter()).map(|(a, b)| a + b).collect();
@@ -1143,15 +1260,14 @@ fn compressed_allreduce<T: Transport>(
             let mut sv = SparseVec::from_dense(&c.dense);
             let mut profile = SparseLevelProfile::default();
             sparse_allreduce_tree_v2(comm, &mut sv, SparseTreeOpts::default(), &mut profile)
-                .map_err(|e| wire_failure(rank, round, e))?;
-            sv.to_dense()
+                .map_err(fail)?;
+            sv.to_dense().map_err(fail)?
         }
         Compression::Uniform8Bit => {
             let mut buf = c.dense;
             match c.q8_scale {
-                Some(scale) => q8_allreduce_tree(comm, &mut buf, scale)
-                    .map_err(|e| wire_failure(rank, round, e))?,
-                None => allreduce_tree(comm, &mut buf).map_err(|e| wire_failure(rank, round, e))?,
+                Some(scale) => q8_allreduce_tree(comm, &mut buf, scale).map_err(fail)?,
+                None => allreduce_tree(comm, &mut buf).map_err(fail)?,
             }
             buf
         }
@@ -1162,13 +1278,13 @@ fn compressed_allreduce<T: Transport>(
                 q8_scale: c.q8_scale,
             };
             let mut profile = SparseLevelProfile::default();
-            let spill = sparse_allreduce_tree_v2(comm, &mut sv, opts, &mut profile)
-                .map_err(|e| wire_failure(rank, round, e))?;
+            let spill =
+                sparse_allreduce_tree_v2(comm, &mut sv, opts, &mut profile).map_err(fail)?;
             history.sparse_levels.merge(&profile);
             for (&i, &v) in spill.idx.iter().zip(&spill.val) {
                 residual[i as usize] += v;
             }
-            sv.to_dense()
+            sv.to_dense().map_err(fail)?
         }
     };
     Ok(total)

@@ -1,52 +1,62 @@
-//! The threaded backend: every algorithm on real OS threads.
-//!
-//! One thread per learner over the `sasgd-comm` substrate, running one of
-//! the three rank loops of [`super::rank`]:
+//! The threaded backend: every algorithm on real OS threads, on the wall
+//! clock.
 //!
 //! * every collective strategy (sequential SGD, SASGD with or without
 //!   compression, hierarchical SASGD, one-shot averaging, Local SGD,
-//!   DaSGD) runs [`run_collective_rank`] under a lockstep or event-driven
-//!   clock, with the strategy's sync-point exchange as its [`EventOp`];
+//!   DaSGD) runs the engine's shared collective dispatch over in-process
+//!   [`Communicator`] endpoints — the same rank program, exchanges and
+//!   worlds the simulated backend runs over its virtual-time transport,
+//!   so the two agree bitwise — with [`WallClock`] timing each rank;
 //! * fault-tolerant SASGD ([`run_threaded_sasgd_ft`]) runs
 //!   [`run_sasgd_ft_rank`];
 //! * Downpour and EAMSGD run [`run_ps_rank`] against parameter-server
-//!   shard threads ([`sasgd_comm::ps_transport`]).
+//!   shard threads ([`sasgd_comm::ps_transport`]); they match the
+//!   simulated backend at `p = 1` and are intentionally schedule-dependent
+//!   beyond that (that is the point of running them on a real substrate).
 //!
-//! Batch orders, dropout streams and aggregation arithmetic mirror the
-//! simulated backend (the simulated aggregation sums in the same
-//! binomial-tree order the collective uses), so the collective strategies
-//! produce *identical parameters* at any `p` (hierarchical SASGD only with
-//! one group); the asynchronous strategies match at `p = 1` and are
-//! intentionally schedule-dependent beyond that (that is the point of
-//! running them on a real substrate).
-//!
-//! Unlike the simulated backend's analytic wire accounting, [`History::wire`]
-//! here is filled from the substrate's traffic counters — every world a
-//! run builds, the group and leader worlds of hierarchical SASGD
-//! included. With [`Compression::TopK`](crate::Compression::TopK) the
-//! gradients travel in the sparse wire format ([`sasgd_comm::sparse`]), so
-//! the counters record genuinely fewer elements, not a model of fewer
-//! elements.
+//! This module also owns the rank threads of both backends
+//! (`run_ranks`) and the wall-clock reads of every rank loop
+//! ([`WallClock`]). [`History::wire`] comes from the substrate's traffic
+//! counters — every world a run builds, the group and leader worlds of
+//! hierarchical SASGD included. With
+//! [`Compression::TopK`](crate::Compression::TopK) the gradients travel in
+//! the sparse wire format ([`sasgd_comm::sparse`]), so the counters
+//! record genuinely fewer elements, not a model of fewer elements.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sasgd_comm::fault::FaultPlan;
-use sasgd_comm::hierarchy::{grouped, GroupedComm};
 use sasgd_comm::ps_transport::{run_inproc, PsLayout};
 use sasgd_comm::world::{CommWorld, Communicator, Traffic};
 use sasgd_data::{make_shards, Dataset};
 use sasgd_nn::Model;
 
 use super::rank::{
-    run_collective_rank, run_ps_rank, run_sasgd_ft_rank, ClockSpec, CollectiveRankSpec, EventOp,
-    PsExchange, PsRankSpec, SasgdRankSpec,
+    run_ps_rank, run_sasgd_ft_rank, PsExchange, PsRankSpec, RankClock, SasgdRankSpec,
 };
-use super::{strategy_for, AggregationStrategy, Cadence, EngineError};
+use super::{resolve_cadence, run_collective, strategy_for, EngineError, Substrate};
 use crate::algorithms::{Algorithm, GammaP};
-use crate::history::{History, StalenessStats, WireStats, MAX_SPARSITY_SAMPLES};
+use crate::history::{History, WireStats, MAX_SPARSITY_SAMPLES};
 use crate::trainer::TrainConfig;
+
+/// Wall time since a rank started — the clock every threaded and
+/// launched rank loop reads.
+#[derive(Clone, Copy, Debug)]
+pub struct WallClock(Instant);
+
+impl WallClock {
+    /// A clock reading zero now.
+    pub fn start() -> Self {
+        WallClock(Instant::now())
+    }
+
+    /// Seconds since [`WallClock::start`].
+    pub fn seconds(&self) -> f64 {
+        self.0.elapsed().as_secs_f64()
+    }
+}
 
 /// Fault-injection configuration for [`run_threaded_sasgd_ft`].
 #[derive(Clone, Debug)]
@@ -69,174 +79,57 @@ impl Default for FaultConfig {
     }
 }
 
-/// Run `algo` on the threaded backend under the resolved `cadence`.
-///
-/// Every collective strategy runs under either cadence. The
-/// parameter-server strategies are asynchronous by definition and the
-/// averaging lattice points (Local SGD, DaSGD) have no bulk-synchronous
-/// exchange on real threads, so forcing any of those four to lockstep is
-/// a typed [`EngineError::UnsupportedCadence`] (the simulated backend
-/// executes every strategy under either cadence). Wire failures come back
-/// as [`EngineError::WireFailure`].
+/// Run `algo` on the threaded backend at its resolved cadence (see
+/// [`resolve_cadence`]). Wire failures come back as
+/// [`EngineError::WireFailure`].
 pub(crate) fn run(
     factory: &(dyn Fn() -> Model + Sync),
     train_set: &Dataset,
     test_set: &Dataset,
     algo: &Algorithm,
     cfg: &TrainConfig,
-    cadence: Cadence,
 ) -> Result<History, EngineError> {
     let s = strategy_for(algo);
-    match (algo, cadence) {
-        (Algorithm::Downpour { .. } | Algorithm::Eamsgd { .. }, Cadence::EventDriven) => {
+    let cadence = resolve_cadence(algo, &*s, cfg)?;
+    match algo {
+        Algorithm::Downpour { .. } | Algorithm::Eamsgd { .. } => {
             run_async_ps(factory, train_set, test_set, algo, cfg)
         }
-        (
-            Algorithm::Downpour { .. }
-            | Algorithm::Eamsgd { .. }
-            | Algorithm::LocalSgd { .. }
-            | Algorithm::DelayedAvg { .. },
-            Cadence::Lockstep,
-        ) => Err(EngineError::UnsupportedCadence { label: s.label() }),
-        _ => run_collective(factory, train_set, test_set, algo, &*s, cfg, cadence),
+        _ => run_collective(
+            &Threads,
+            algo,
+            &*s,
+            &mut || factory(),
+            train_set,
+            test_set,
+            cfg,
+            cadence,
+        ),
     }
 }
 
-/// `"SASGD(p=4,T=2)"` → `"SASGD-threaded(p=4,T=2)"` — the backend suffix
-/// before the parameter list.
-fn threaded_label(label: &str) -> String {
-    match label.find('(') {
-        Some(i) => format!("{}-threaded{}", &label[..i], &label[i..]),
-        None => format!("{label}-threaded"),
-    }
-}
+/// The threaded substrate: in-process endpoints, wall clocks.
+struct Threads;
 
-/// A collective strategy: one OS thread per rank running
-/// [`run_collective_rank`] over the in-process world (hierarchical SASGD:
-/// over the grouped global, group and leader worlds). The round structure
-/// is resolved independently per rank from rank-invariant state, so the
-/// collectives line up without a coordinator.
-fn run_collective(
-    factory: &(dyn Fn() -> Model + Sync),
-    train_set: &Dataset,
-    test_set: &Dataset,
-    algo: &Algorithm,
-    s: &dyn AggregationStrategy,
-    cfg: &TrainConfig,
-    cadence: Cadence,
-) -> Result<History, EngineError> {
-    let p = s.p();
-    // Split intra-op workers across the p learner threads (no-op unless
-    // the `parallel` feature is on and nothing was configured explicitly).
-    sasgd_tensor::parallel::auto_configure_for_learners(p);
-    let shards = s.shards(train_set, cfg);
-    let min_steps = shards
-        .iter()
-        .map(|sh| sh.len() / cfg.batch_size)
-        .min()
-        .expect("at least one shard");
-    let clock = match cadence {
-        Cadence::Lockstep => {
-            let truncate = s.lockstep_truncates();
-            assert!(
-                !truncate || min_steps > 0,
-                "shards too small for batch size"
-            );
-            ClockSpec::Lockstep {
-                steps_per_epoch: truncate.then_some(min_steps),
-            }
+impl Substrate for Threads {
+    type Endpoint = Communicator;
+
+    /// `"SASGD(p=4,T=2)"` → `"SASGD-threaded(p=4,T=2)"` — the backend
+    /// suffix before the parameter list.
+    fn label(&self, label: String) -> String {
+        match label.find('(') {
+            Some(i) => format!("{}-threaded{}", &label[..i], &label[i..]),
+            None => format!("{label}-threaded"),
         }
-        Cadence::EventDriven => ClockSpec::EventDriven {
-            epoch_block: min_steps.max(1),
-        },
-    };
-    let spec = CollectiveRankSpec {
-        train_set,
-        test_set,
-        cfg,
-        p,
-        label: threaded_label(&s.label()),
-        clock,
-        policy: s.sync_policy(),
-        collective_tau: s.collective_tau(),
-        history_interval: s.history_interval(),
-    };
-    let rank = |comm: &mut Communicator, op: EventOp<Communicator>| {
-        run_collective_rank(comm, factory(), &shards[comm.rank()], &spec, op)
-    };
-    let mut history = if let Algorithm::HierarchicalSasgd {
-        groups,
-        per_group,
-        t_global,
-        gamma_p,
-        ..
-    } = *algo
-    {
-        let bundles = grouped(groups, per_group);
-        // Global, group and leader worlds each count their own traffic.
-        let traffic: Vec<Arc<Traffic>> = std::iter::once(bundles[0].global.traffic())
-            .chain(bundles.iter().step_by(per_group).map(|b| b.local.traffic()))
-            .chain(bundles[0].leaders.as_ref().map(Communicator::traffic))
-            .collect();
-        run_ranks(bundles, &traffic, |bundle| {
-            let GroupedComm {
-                mut global,
-                local,
-                leaders,
-                ..
-            } = bundle;
-            let op = EventOp::Hierarchical {
-                t_global,
-                gamma_p,
-                local,
-                leaders,
-            };
-            rank(&mut global, op)
-        })?
-    } else {
-        let mut world = CommWorld::new(p);
-        let traffic = [world.traffic()];
-        run_ranks(world.communicators(), &traffic, |mut comm| {
-            let op = match *algo {
-                Algorithm::Sequential => EventOp::LocalOnly,
-                Algorithm::Sasgd {
-                    gamma_p,
-                    compression,
-                    ..
-                } => EventOp::Gradient {
-                    gamma_p,
-                    compression,
-                },
-                // Rank 0 holds the spare replica that evaluates the
-                // running average.
-                Algorithm::ModelAverageOnce { .. } => EventOp::EpochAverage {
-                    replica: (comm.rank() == 0).then(factory),
-                },
-                Algorithm::LocalSgd { .. } => EventOp::ParamAverage,
-                Algorithm::DelayedAvg { .. } => EventOp::DelayedAverage,
-                Algorithm::HierarchicalSasgd { .. }
-                | Algorithm::Downpour { .. }
-                | Algorithm::Eamsgd { .. } => unreachable!("not a flat collective strategy"),
-            };
-            rank(&mut comm, op)
-        })?
-    };
-    // The simulated backend's staleness summary: analytic under lockstep,
-    // the strategy's by-construction τ for every rank of every round when
-    // event-driven.
-    history.staleness = match cadence {
-        Cadence::Lockstep => s.staleness(history.sync_rounds),
-        Cadence::EventDriven => {
-            let tau = s.collective_tau();
-            let pushes = history.sync_rounds * p as u64;
-            (pushes > 0).then_some(StalenessStats {
-                mean: tau as f64,
-                max: tau,
-                pushes,
-            })
-        }
-    };
-    Ok(history)
+    }
+
+    fn endpoint(&self, comm: Communicator, _rank: usize, _group: bool) -> Communicator {
+        comm
+    }
+
+    fn clock(&self, _rank: usize) -> RankClock {
+        RankClock::wall()
+    }
 }
 
 /// Run SASGD on the threaded backend under the fault-tolerance layer:
@@ -392,8 +285,8 @@ fn run_async_ps(
 }
 
 /// Run `rank` on one scoped thread per endpoint (endpoints in rank order)
-/// and [`merge_ranks`] the results.
-fn run_ranks<E: Send>(
+/// and [`merge_ranks`] the results — the rank threads of both backends.
+pub(crate) fn run_ranks<E: Send>(
     endpoints: Vec<E>,
     traffic: &[Arc<Traffic>],
     rank: impl Fn(E) -> Result<History, EngineError> + Sync,
@@ -474,7 +367,7 @@ fn join_learners<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T
 mod tests {
     use super::*;
     use crate::compress::{Compression, KSchedule};
-    use crate::engine::{Backend, Executor};
+    use crate::engine::{Backend, Cadence, Executor};
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
     use sasgd_nn::models;
     use sasgd_simnet::JitterModel;
@@ -488,6 +381,16 @@ mod tests {
         cfg: &TrainConfig,
     ) -> History {
         Executor::new(Backend::Threaded).run(factory, train, test, &algo, cfg)
+    }
+
+    fn simulated(
+        factory: &(dyn Fn() -> Model + Sync),
+        train: &Dataset,
+        test: &Dataset,
+        algo: Algorithm,
+        cfg: &TrainConfig,
+    ) -> History {
+        Executor::new(Backend::Simulated).run(factory, train, test, &algo, cfg)
     }
 
     fn sasgd(p: usize, t: usize, compression: Option<Compression>) -> Algorithm {
@@ -527,9 +430,7 @@ mod tests {
         cfg.jitter = JitterModel::none();
         let factory = || models::tiny_cnn(2, &mut SeedRng::new(5));
         let th = threaded(&factory, &train, &test, sasgd(1, 1, None), &cfg);
-        let mut f = || models::tiny_cnn(2, &mut SeedRng::new(5));
-        let sim =
-            crate::algorithms::sasgd::run(&mut f, &train, &test, &cfg, 1, 1, GammaP::OverP, None);
+        let sim = simulated(&factory, &train, &test, sasgd(1, 1, None), &cfg);
         for (a, b) in th.records.iter().zip(&sim.records) {
             assert_eq!(a.train_loss, b.train_loss);
             assert_eq!(a.test_acc, b.test_acc);
@@ -543,8 +444,7 @@ mod tests {
         cfg.jitter = JitterModel::none();
         let factory = || models::tiny_cnn(2, &mut SeedRng::new(5));
         let th = threaded(&factory, &train, &test, Algorithm::Sequential, &cfg);
-        let mut f = || models::tiny_cnn(2, &mut SeedRng::new(5));
-        let sim = crate::algorithms::sequential::run(&mut f, &train, &test, &cfg);
+        let sim = simulated(&factory, &train, &test, Algorithm::Sequential, &cfg);
         assert_eq!(th.final_params, sim.final_params);
     }
 
@@ -554,15 +454,9 @@ mod tests {
         let mut cfg = TrainConfig::new(2, 8, 0.03, 7);
         cfg.jitter = JitterModel::none();
         let factory = || models::tiny_cnn(2, &mut SeedRng::new(3));
-        let th = threaded(
-            &factory,
-            &train,
-            &test,
-            Algorithm::ModelAverageOnce { p: 3 },
-            &cfg,
-        );
-        let mut f = || models::tiny_cnn(2, &mut SeedRng::new(3));
-        let sim = crate::algorithms::averaging::run(&mut f, &train, &test, &cfg, 3);
+        let algo = Algorithm::ModelAverageOnce { p: 3 };
+        let th = threaded(&factory, &train, &test, algo, &cfg);
+        let sim = simulated(&factory, &train, &test, algo, &cfg);
         assert_eq!(th.final_params, sim.final_params);
         assert!(
             th.wire.expect("wire").elements > 0,
@@ -730,17 +624,7 @@ mod tests {
         let comp = Compression::TopK { ratio: 0.25 };
         let factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
         let th = threaded(&factory, &train, &test, sasgd(4, 2, Some(comp)), &cfg);
-        let mut f = || models::tiny_cnn(3, &mut SeedRng::new(7));
-        let sim = crate::algorithms::sasgd::run(
-            &mut f,
-            &train,
-            &test,
-            &cfg,
-            4,
-            2,
-            GammaP::OverP,
-            Some(comp),
-        );
+        let sim = simulated(&factory, &train, &test, sasgd(4, 2, Some(comp)), &cfg);
         assert_eq!(th.final_params, sim.final_params);
     }
 
@@ -838,17 +722,7 @@ mod tests {
         for comp in schedules {
             let factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
             let th = threaded(&factory, &train, &test, sasgd(4, 2, Some(comp)), &cfg);
-            let mut f = || models::tiny_cnn(3, &mut SeedRng::new(7));
-            let sim = crate::algorithms::sasgd::run(
-                &mut f,
-                &train,
-                &test,
-                &cfg,
-                4,
-                2,
-                GammaP::OverP,
-                Some(comp),
-            );
+            let sim = simulated(&factory, &train, &test, sasgd(4, 2, Some(comp)), &cfg);
             assert_eq!(
                 th.final_params, sim.final_params,
                 "divergence under {comp:?}"

@@ -49,10 +49,10 @@ pub struct History {
     /// tests compare backends parameter-for-parameter, not just by
     /// accuracy trajectories.
     pub final_params: Option<Vec<f32>>,
-    /// Wire traffic of the run, where the backend can account for it: the
-    /// threaded backend reports the comm-world's measured counters, the
-    /// simulated backend the analytic element counts its cost model
-    /// charges. `None` when the algorithm has no accounted channel.
+    /// Wire traffic of the run: the counters of every comm world the run
+    /// built (both backends count the same frames for the collective
+    /// strategies). `None` when the run has no world — the simulated
+    /// parameter-server strategies.
     pub wire: Option<WireStats>,
     /// Membership changes observed by the fault-tolerant threaded backend
     /// (empty for fault-free runs and for backends without failure

@@ -14,7 +14,7 @@ use sasgd_nn::{Ctx, Model};
 use sasgd_simnet::{CostModel, JitterModel};
 use sasgd_tensor::{SeedRng, Tensor, Workspace};
 
-use crate::algorithms::{self, Algorithm};
+use crate::algorithms::Algorithm;
 use crate::history::{EpochRecord, History};
 use crate::schedule::LrSchedule;
 
@@ -79,7 +79,13 @@ impl TrainConfig {
 ///
 /// Returns the per-epoch [`History`] recorded from learner 0's
 /// perspective, as the paper does ("we collect accuracy numbers from one
-/// learner after it has made a complete pass of the input data").
+/// learner after it has made a complete pass of the input data"). This is
+/// [`Executor`](crate::Executor) on [`Backend::Simulated`](crate::Backend)
+/// with a factory that need not be `Sync`.
+///
+/// # Panics
+/// Panics on an empty configuration, on a strategy forced to a cadence it
+/// has no execution path for, and on a wire failure.
 pub fn train(
     factory: &mut dyn FnMut() -> Model,
     train_set: &Dataset,
@@ -90,64 +96,8 @@ pub fn train(
     assert!(cfg.epochs > 0, "need at least one epoch");
     assert!(cfg.batch_size > 0, "need a positive minibatch size");
     assert!(!train_set.is_empty(), "empty training set");
-    match *algo {
-        Algorithm::Sequential => algorithms::sequential::run(factory, train_set, test_set, cfg),
-        Algorithm::Sasgd {
-            p,
-            t,
-            gamma_p,
-            compression,
-        } => algorithms::sasgd::run(
-            factory,
-            train_set,
-            test_set,
-            cfg,
-            p,
-            t,
-            gamma_p,
-            compression,
-        ),
-        Algorithm::HierarchicalSasgd {
-            groups,
-            per_group,
-            t_local,
-            t_global,
-            gamma_p,
-        } => algorithms::hierarchical::run(
-            factory, train_set, test_set, cfg, groups, per_group, t_local, t_global, gamma_p,
-        ),
-        Algorithm::Downpour {
-            p,
-            t,
-            staleness_gamma,
-        } => algorithms::downpour::run(factory, train_set, test_set, cfg, p, t, staleness_gamma),
-        Algorithm::Eamsgd {
-            p,
-            t,
-            moving_rate,
-            momentum,
-            staleness_gamma,
-        } => algorithms::eamsgd::run(
-            factory,
-            train_set,
-            test_set,
-            cfg,
-            p,
-            t,
-            moving_rate,
-            momentum,
-            staleness_gamma,
-        ),
-        Algorithm::LocalSgd { p, schedule } => {
-            algorithms::local_sgd::run(factory, train_set, test_set, cfg, p, schedule)
-        }
-        Algorithm::DelayedAvg { p, t } => {
-            algorithms::dasgd::run(factory, train_set, test_set, cfg, p, t)
-        }
-        Algorithm::ModelAverageOnce { p } => {
-            algorithms::averaging::run(factory, train_set, test_set, cfg, p)
-        }
-    }
+    crate::engine::simulated::run(factory, train_set, test_set, algo, cfg)
+        .unwrap_or_else(|e| panic!("simulated backend running {algo:?}: {e}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -247,7 +197,7 @@ impl EvalSets {
     }
 }
 
-/// One learner replica with its deterministic streams and virtual clocks.
+/// One learner replica with its deterministic streams.
 pub(crate) struct Learner {
     pub(crate) model: Model,
     /// Batch-order and dropout stream.
@@ -256,12 +206,6 @@ pub(crate) struct Learner {
     pub(crate) jrng: SeedRng,
     /// Persistent speed factor.
     pub(crate) speed: f64,
-    /// Virtual clock (seconds).
-    pub(crate) clock: f64,
-    /// Accumulated compute seconds.
-    pub(crate) compute_s: f64,
-    /// Accumulated communication (incl. barrier wait) seconds.
-    pub(crate) comm_s: f64,
     /// Gradient accumulator `gs` of Algorithm 1.
     pub(crate) gs: Vec<f32>,
     /// Scratch-buffer arena reused across this learner's steps, so the
@@ -278,9 +222,6 @@ impl Learner {
             rng: root.split(0x100 + id as u64),
             jrng: root.split(0x200 + id as u64),
             speed: cfg.jitter.learner_factor(id, cfg.seed),
-            clock: 0.0,
-            compute_s: 0.0,
-            comm_s: 0.0,
             gs: vec![0.0; m],
             ws: Workspace::new(),
         }
@@ -308,17 +249,9 @@ impl Learner {
         (self.model.grad_vector(), out.loss)
     }
 
-    /// Process one minibatch: forward, backward, accumulate into `gs`,
-    /// apply the local step `x ← x − γ·g`, and advance the clock by
-    /// `step_seconds × speed × jitter`. Returns the minibatch loss.
-    pub(crate) fn local_step(
-        &mut self,
-        data: &Dataset,
-        idx: &[usize],
-        gamma: f32,
-        step_seconds: f64,
-        jitter: f64,
-    ) -> f32 {
+    /// Process one minibatch: forward, backward, accumulate into `gs` and
+    /// apply the local step `x ← x − γ·g`. Returns the minibatch loss.
+    pub(crate) fn local_step(&mut self, data: &Dataset, idx: &[usize], gamma: f32) -> f32 {
         let (g, loss) = self.compute_gradient(data, idx);
         for (a, &b) in self.gs.iter_mut().zip(&g) {
             *a += b;
@@ -330,16 +263,7 @@ impl Learner {
             }
             self.model.write_params(&params);
         }
-        let dt = step_seconds * self.speed * jitter;
-        self.clock += dt;
-        self.compute_s += dt;
         loss
-    }
-
-    /// Advance the clock through a communication phase.
-    pub(crate) fn charge_comm(&mut self, seconds: f64) {
-        self.clock += seconds;
-        self.comm_s += seconds;
     }
 }
 

@@ -147,15 +147,6 @@ impl CostModel {
             total_elements: fanout * m as f64,
         }
     }
-
-    /// Initial model broadcast to `p` learners (tree).
-    pub fn broadcast(&self, m: usize, p: usize) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        let bytes = m as f64 * BYTES_PER_PARAM;
-        (p as f64).log2().ceil() * self.topology.gpu_link_time(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -198,7 +189,6 @@ mod tests {
     fn single_learner_needs_no_aggregation() {
         let c = CostModel::paper_testbed();
         assert_eq!(c.allreduce_tree(M_CIFAR, 1).seconds, 0.0);
-        assert_eq!(c.broadcast(M_CIFAR, 1), 0.0);
         // PS roundtrip still nonzero: Downpour with p=1 still talks to the
         // server (Fig 1 shows ~20 % comm at one learner).
         assert!(c.ps_roundtrip(M_CIFAR, 1).seconds > 0.0);

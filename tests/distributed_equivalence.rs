@@ -394,11 +394,31 @@ fn threaded_equals_simulated_event_driven_under_inv_epoch_gamma() {
 }
 
 #[test]
+fn threaded_equals_simulated_multi_group_hierarchical_bitwise() {
+    // Level 2 averages the group copies in rank order at the first leader
+    // on both backends, so more than one group stays bitwise equal — under
+    // a decaying γ, at either cadence.
+    for (groups, per_group) in [(2usize, 2usize), (3, 2)] {
+        let algo = Algorithm::HierarchicalSasgd {
+            groups,
+            per_group,
+            t_local: 2,
+            t_global: 2,
+            gamma_p: GammaP::OverP,
+        };
+        for cadence in [Cadence::Lockstep, Cadence::EventDriven] {
+            assert_backends_agree_inv_epoch(&algo, cadence, 8);
+        }
+    }
+}
+
+#[test]
 fn threaded_dispatch_matrix_covers_every_strategy_and_cadence() {
-    // Every Algorithm under both cadences on the threaded backend: the
+    // Every Algorithm under both cadences on both backends: the
     // parameter-server strategies and the averaging lattice points have no
-    // lockstep path on threads (a typed error naming the strategy); every
-    // other pair runs and reports its threaded label.
+    // lockstep path (a typed error naming the strategy, on either
+    // backend); every other pair runs and reports its label — with the
+    // backend suffix on the threaded backend.
     let (train_set, test_set) = generate(&CifarLikeConfig::tiny(48, 16, 2));
     let factory = || models::tiny_cnn(2, &mut SeedRng::new(5));
     let p = 2usize;
@@ -453,20 +473,26 @@ fn threaded_dispatch_matrix_covers_every_strategy_and_cadence() {
     ];
     for (algo, (lock, event)) in algos.iter().zip(expected) {
         for (cadence, want) in [(Cadence::Lockstep, lock), (Cadence::EventDriven, event)] {
-            let mut cfg = quiet_cfg(1, 0.05, 3);
-            cfg.cadence = Some(cadence);
-            let got = Executor::new(Backend::Threaded)
-                .try_run(&factory, &train_set, &test_set, algo, &cfg)
-                .map(|h| h.label)
-                .map_err(|e| match e {
-                    EngineError::UnsupportedCadence { label } => label,
-                    other => panic!("{algo:?} under {cadence:?}: unexpected {other}"),
-                });
-            assert_eq!(
-                got.as_deref().map_err(String::as_str),
-                want,
-                "{algo:?} under {cadence:?} on the threaded backend"
-            );
+            for backend in [Backend::Threaded, Backend::Simulated] {
+                let mut cfg = quiet_cfg(1, 0.05, 3);
+                cfg.cadence = Some(cadence);
+                let got = Executor::new(backend)
+                    .try_run(&factory, &train_set, &test_set, algo, &cfg)
+                    .map(|h| h.label)
+                    .map_err(|e| match e {
+                        EngineError::UnsupportedCadence { label } => label,
+                        other => panic!("{algo:?} under {cadence:?}: unexpected {other}"),
+                    });
+                let want = match backend {
+                    Backend::Threaded => want.map(str::to_string),
+                    Backend::Simulated => want.map(|l| l.replace("-threaded", "")),
+                };
+                assert_eq!(
+                    got.as_deref().map_err(String::as_str),
+                    want.as_deref().map_err(|e| *e),
+                    "{algo:?} under {cadence:?} on the {backend:?} backend"
+                );
+            }
         }
     }
 }

@@ -236,7 +236,7 @@ proptest! {
             let mut profile = SparseLevelProfile::default();
             sparse_allreduce_tree_v2(c, &mut sv, SparseTreeOpts::default(), &mut profile)
                 .expect("sparse allreduce");
-            sv.to_dense()
+            sv.to_dense().expect("in range")
         });
         for (dv, sv) in dense.iter().zip(&sparse) {
             for (a, b) in dv.iter().zip(sv) {

@@ -1,12 +1,11 @@
 //! Golden-parameter pins for the threaded backend's collective strategies.
 //!
 //! `tests/engine_golden.rs` pins the simulated engine; the threaded
-//! backend is tied to it by the cross-backend bitwise tests, but those
-//! cannot cover hierarchical SASGD with more than one group (level 2
-//! averages through a tree on threads and in rank order in the
-//! simulator, so the two are not bitwise equal there). These checksums
-//! pin the threaded `final_params` directly, same workload and helpers as
-//! the engine goldens.
+//! backend is tied to it by the cross-backend bitwise tests. These
+//! checksums pin the threaded `final_params` directly under a decaying γ,
+//! same workload and helpers as the engine goldens. The hierarchical
+//! entries equal the simulated backend's: level 2 averages the group
+//! copies in rank order at the first leader on both.
 //!
 //! To regenerate after an *intentional* numerics change:
 //!
@@ -104,8 +103,8 @@ fn threaded_lockstep_final_params_are_pinned() {
             Golden {
                 name: "threaded_hier_3x2_tl2_tg2",
                 algo: hier(3, 2),
-                hash: 0x07d2_228c_3580_8f00,
-                head: [0xbd8e72dc, 0xbd13904a, 0x3d3d4410, 0x3ddacfa8],
+                hash: 0xb723_f1d0_8415_1fd6,
+                head: [0xbd8e72db, 0xbd139049, 0x3d3d4411, 0x3ddacfa8],
             },
             Golden {
                 name: "threaded_modelavg_p3",
@@ -131,8 +130,8 @@ fn threaded_event_driven_final_params_are_pinned() {
             Golden {
                 name: "threaded_event_hier_3x2_tl2_tg2",
                 algo: hier(3, 2),
-                hash: 0x2db0_21d9_b7a1_d8df,
-                head: [0xbd8d9963, 0xbd11bd34, 0x3d3e5740, 0x3ddb6166],
+                hash: 0x2281_4ff0_69f7_1a86,
+                head: [0xbd8d9963, 0xbd11bd34, 0x3d3e573f, 0x3ddb6166],
             },
             Golden {
                 name: "threaded_event_localsgd_p4_adaptive",
