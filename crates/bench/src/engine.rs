@@ -133,7 +133,8 @@ pub fn engine(scale: Scale, epochs: Option<usize>) -> Artifact {
     let mut report = String::from(
         "Unified execution engine: every aggregation strategy on both backends\n\
          (simulated epoch time is virtual seconds from the cost model;\n\
-         threaded epoch time and wire traffic are measured on real threads)\n\n",
+         threaded epoch time is measured on real threads; wire traffic is\n\
+         counted on both)\n\n",
     );
     report.push_str(&ascii_table(&headers, &table));
     // Headline: what did the sparse wire format actually save?
