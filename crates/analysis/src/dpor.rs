@@ -829,7 +829,10 @@ fn sc_engine_dasgd() -> ModelScenario {
         Arc::new(|mut t: ModelTransport| {
             // 4 samples per shard at batch 2; the block size only matters
             // at T = 0.
-            let clock = ClockSpec::EventDriven { epoch_block: 2 };
+            let clock = ClockSpec::EventDriven {
+                epoch_block: 2,
+                shard_lens: vec![4, 4],
+            };
             let op = EventOp::DelayedAverage;
             engine_collective_rank(&mut t, 2, clock, SyncPolicy::fixed(1), 1, op)
         }),

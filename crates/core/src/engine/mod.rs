@@ -353,6 +353,7 @@ pub(crate) fn run_collective<S: Substrate>(
         }
         Cadence::EventDriven => ClockSpec::EventDriven {
             epoch_block: min_steps.max(1),
+            shard_lens: shards.iter().map(Shard::len).collect(),
         },
     };
     let spec = CollectiveRankSpec {

@@ -284,7 +284,7 @@ pub fn run_sasgd_ft_rank<T: Transport>(
                 }
             }
             Tick::EpochEnd { .. } => {}
-            Tick::Eval { epoch } => {
+            Tick::Eval { epoch, .. } => {
                 if let Some(ev) = &evals {
                     let samples = clock.samples() * membership.len() as u64;
                     let rec = ev.record(&mut learner.model, epoch, compute_s, comm_s, samples);
@@ -299,7 +299,7 @@ pub fn run_sasgd_ft_rank<T: Transport>(
 
 /// How a rank's `StepClock` paces it — everything that differs between the
 /// two cadences of the collective loop.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub enum ClockSpec {
     /// Bulk-synchronous epochs (the paper's Algorithm 1): each epoch's
     /// batch order is drawn from the shard at the epoch's start, γ moves
@@ -322,6 +322,10 @@ pub enum ClockSpec {
         /// Round size for never-syncing strategies (`T = 0`): the smallest
         /// shard's whole-minibatch count, computed once by the caller.
         epoch_block: usize,
+        /// Every rank's shard size, in rank order. Ranks take equal step
+        /// counts but, with unequal shards, not equal sample counts; rank
+        /// 0 counts the cohort's samples from these.
+        shard_lens: Vec<usize>,
     },
 }
 
@@ -334,8 +338,9 @@ pub(crate) enum Tick {
     Sync { round: u64, gamma: f32 },
     /// The end of epoch `epoch` (1-based).
     EpochEnd { epoch: usize },
-    /// Rank 0 records an evaluation at `epoch` on the x axis.
-    Eval { epoch: f64 },
+    /// Rank 0 records an evaluation at `epoch` on the x axis, after the
+    /// cohort consumed `samples` samples.
+    Eval { epoch: f64, samples: u64 },
 }
 
 /// The cadence of one rank, as a stream of [`Tick`]s. It owns the batch
@@ -376,6 +381,8 @@ enum Pace<'a> {
     EventDriven {
         stream: BatchStream,
         epoch_block: usize,
+        /// Every rank's shard size (see [`ClockSpec::EventDriven`]).
+        shard_lens: Vec<usize>,
         /// Interval, steps left and γ of the round in progress.
         t: usize,
         left: usize,
@@ -411,11 +418,15 @@ impl<'a> StepClock<'a> {
                 };
                 (pace, cfg.epochs == 0)
             }
-            ClockSpec::EventDriven { epoch_block } => {
+            ClockSpec::EventDriven {
+                epoch_block,
+                shard_lens,
+            } => {
                 let stream = BatchStream::new(shard.indices().to_vec(), cfg.batch_size);
                 let pace = Pace::EventDriven {
                     stream,
                     epoch_block,
+                    shard_lens,
                     t: 0,
                     left: 0,
                     gamma: 0.0,
@@ -517,7 +528,7 @@ impl<'a> StepClock<'a> {
                     *since_sync = 0;
                 }
                 epoch_end = (batches.len() == 0).then_some(*epoch);
-                eval = epoch_end.map(|e| e as f64);
+                eval = epoch_end.is_some();
                 self.done = epoch_end.is_some_and(|e| e >= cfg.epochs);
             }
             Pace::EventDriven {
@@ -529,6 +540,7 @@ impl<'a> StepClock<'a> {
                 steps_done,
                 epochs_done,
                 passes,
+                ..
             } => {
                 if *left == 0 {
                     // γ for the whole round, resolved from nominal progress
@@ -554,8 +566,7 @@ impl<'a> StepClock<'a> {
                 if pass {
                     *passes = stream.completed_passes();
                 }
-                let len = idx.as_ref().map_or(0, Vec::len) as u64;
-                eval = pass.then(|| Self::progress(self.samples + len, self.p, self.n));
+                eval = pass;
                 if closed {
                     self.done = if *t >= 1 {
                         let target = (cfg.epochs as u64) * (self.n as u64);
@@ -580,16 +591,46 @@ impl<'a> StepClock<'a> {
         }
         // Every run ends on an evaluation of its final state.
         let last = self.done && self.evaluated_at != Some(self.samples);
-        let eval = eval.or_else(|| last.then(|| Self::progress(self.samples, self.p, self.n)));
-        if let Some(epoch) = eval {
-            self.ticks.push_back(Tick::Eval { epoch });
+        if eval || last {
+            let samples = self.cohort_samples();
+            let epoch = match &self.pace {
+                Pace::Lockstep { epoch, .. } => *epoch as f64,
+                Pace::EventDriven { .. } => samples as f64 / self.n as f64,
+            };
+            self.ticks.push_back(Tick::Eval { epoch, samples });
             self.evaluated_at = Some(self.samples);
         }
     }
 
-    /// Collective epochs of progress after `samples` own-shard samples.
-    fn progress(samples: u64, p: usize, n: usize) -> f64 {
-        samples as f64 * p as f64 / n as f64
+    /// Samples the whole cohort has consumed so far: a lockstep epoch is
+    /// `p` truncated shard walks, or the full dataset; after `k`
+    /// event-driven steps a rank whose `len`-sample shard splits into `nb`
+    /// batches has made `k / nb` passes plus `k % nb` full batches.
+    fn cohort_samples(&self) -> u64 {
+        let b = self.cfg.batch_size as u64;
+        match &self.pace {
+            Pace::Lockstep {
+                steps_per_epoch,
+                epoch,
+                ..
+            } => {
+                let per_epoch =
+                    steps_per_epoch.map_or(self.n as u64, |cap| cap as u64 * b * self.p as u64);
+                *epoch as u64 * per_epoch
+            }
+            Pace::EventDriven {
+                shard_lens,
+                steps_done,
+                ..
+            } => shard_lens
+                .iter()
+                .map(|&len| {
+                    let (len, k) = (len as u64, *steps_done);
+                    let nb = len.div_ceil(b);
+                    k / nb * len + k % nb * b
+                })
+                .sum(),
+        }
     }
 }
 
@@ -699,7 +740,7 @@ pub fn run_collective_rank<T: Transport>(
     let epoch_gamma = matches!(exchange.op, EventOp::EpochAverage { .. });
     let lockstep = matches!(spec.clock, ClockSpec::Lockstep { .. });
     let policy = spec.policy.clone();
-    let mut clock = StepClock::new(spec.clock, epoch_gamma, shard, cfg, p, n, policy);
+    let mut clock = StepClock::new(spec.clock.clone(), epoch_gamma, shard, cfg, p, n, policy);
     let mut compute_s = 0.0f64;
     while let Some(tick) = clock.next(&mut learner.rng) {
         match tick {
@@ -734,10 +775,9 @@ pub fn run_collective_rank<T: Transport>(
                 exchange.epoch_end(comm, &learner, epoch, epoch == cfg.epochs, &time)?;
                 comm_s += time.now() - t1;
             }
-            Tick::Eval { epoch } => {
+            Tick::Eval { epoch, samples } => {
                 if let Some(ev) = &evals {
                     let model = exchange.eval_model(&mut learner);
-                    let samples = clock.samples() * p as u64;
                     let rec = ev.record(model, epoch, compute_s, comm_s, samples);
                     history.records.push(rec);
                 }

@@ -413,6 +413,43 @@ fn threaded_equals_simulated_multi_group_hierarchical_bitwise() {
 }
 
 #[test]
+fn records_count_the_cohort_with_unequal_shards() {
+    // 100 samples over 3 shards (34/33/33) at batch 8: the records'
+    // sample counts and event-driven epochs are the whole cohort's, not
+    // p times rank 0's, on both backends.
+    let (train_set, test_set) = generate(&CifarLikeConfig::tiny(100, 24, 3));
+    let factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
+    let cases = [
+        // Lockstep, full shard walks: one dataset per epoch.
+        (
+            Algorithm::ModelAverageOnce { p: 3 },
+            Cadence::Lockstep,
+            vec![(1.0, 100), (2.0, 200)],
+        ),
+        // Event-driven, T = 2: rank 0 finishes its 5-batch pass in round
+        // 3 (6 steps: 34 + 8, 33 + 8, 33 + 8 samples); the run stops after
+        // round 5 (10 steps: two passes of every shard).
+        (
+            Algorithm::LocalSgd {
+                p: 3,
+                schedule: TSchedule::Fixed { t: 2 },
+            },
+            Cadence::EventDriven,
+            vec![(1.24, 124), (2.0, 200)],
+        ),
+    ];
+    for (algo, cadence, want) in cases {
+        for backend in [Backend::Simulated, Backend::Threaded] {
+            let mut cfg = quiet_cfg(2, 0.05, 42);
+            cfg.cadence = Some(cadence);
+            let h = Executor::new(backend).run(&factory, &train_set, &test_set, &algo, &cfg);
+            let got: Vec<(f64, u64)> = h.records.iter().map(|r| (r.epoch, r.samples)).collect();
+            assert_eq!(got, want, "{} on {backend:?}", algo.label());
+        }
+    }
+}
+
+#[test]
 fn threaded_dispatch_matrix_covers_every_strategy_and_cadence() {
     // Every Algorithm under both cadences on both backends: the
     // parameter-server strategies and the averaging lattice points have no
